@@ -276,7 +276,6 @@ pub struct ServerFleet {
     accelerator: Option<AcceleratorConfig>,
     policy_factory: Option<PolicyFactory>,
     lanes: Option<usize>,
-    overlap: Option<bool>,
     lookahead: Option<usize>,
     admission: Option<AdmissionControl>,
     degradation: Option<DegradePolicy>,
@@ -299,7 +298,6 @@ impl ServerFleet {
             accelerator: None,
             policy_factory: None,
             lanes: None,
-            overlap: None,
             lookahead: None,
             admission: None,
             degradation: None,
@@ -326,13 +324,6 @@ impl ServerFleet {
     /// Sets the worker-lane count of every shard server.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes);
-        self
-    }
-
-    /// Forces render/replay pipelining on or off on every shard server
-    /// (otherwise each server follows `UNI_RENDER_OVERLAP`).
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = Some(overlap);
         self
     }
 
@@ -669,9 +660,6 @@ impl ServerFleet {
         }
         if let Some(lanes) = self.lanes {
             server = server.with_lanes(lanes);
-        }
-        if let Some(overlap) = self.overlap {
-            server = server.with_overlap(overlap);
         }
         if let Some(lookahead) = self.lookahead {
             server = server.with_lookahead(lookahead);

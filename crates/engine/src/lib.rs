@@ -50,8 +50,8 @@ pub use path::CameraPath;
 pub use pool::FramePool;
 pub use scene_cache::{SceneCache, SceneCacheConfig, SceneKey};
 pub use sched::{
-    CostAware, EarliestDeadline, LoadView, PolicyContext, Priority, RoundRobin, ScheduleContext,
-    SchedulePolicy, SessionHandle, SessionView, WeightedFair,
+    CostAware, EarliestDeadline, LoadView, PolicyContext, Priority, RoundRobin, SchedulePolicy,
+    SessionHandle, SessionView, WeightedFair,
 };
 pub use server::{
     AdmissionControl, AdmitDecision, DegradePolicy, RenderServer, ServedFrame, SessionRequest,

@@ -183,10 +183,6 @@ impl LoadView {
     }
 }
 
-/// Former name of [`PolicyContext`], kept for downstream policies
-/// written against the PR 4 surface.
-pub type ScheduleContext<'a> = PolicyContext<'a>;
-
 /// A deterministic scheduling policy for [`crate::RenderServer`].
 ///
 /// # Contract

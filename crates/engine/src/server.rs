@@ -64,11 +64,11 @@ use uni_scene::BakedScene;
 /// policy.max_in_flight())` *delivered* frames after the call — a bound
 /// that deliberately excludes the lane count, so churn timing is
 /// identical at any `UNI_RENDER_THREADS`. The default sits above
-/// typical lane counts so overlap is not throttled; servers expecting
-/// frequent churn under an unbounded policy (e.g. round-robin) should
-/// lower it via [`RenderServer::with_lookahead`] to tighten admission /
-/// close latency (a staged change waits up to this many delivered
-/// frames, or until the schedule drains).
+/// typical lane counts so lane parallelism is not throttled; servers
+/// expecting frequent churn under an unbounded policy (e.g.
+/// round-robin) should lower it via [`RenderServer::with_lookahead`] to
+/// tighten admission / close latency (a staged change waits up to this
+/// many delivered frames, or until the schedule drains).
 pub const DEFAULT_LOOKAHEAD: usize = 32;
 
 /// One camera stream a [`RenderServer`] should serve: a renderer
@@ -182,18 +182,10 @@ struct Rendered {
     sim: Option<SimReport>,
 }
 
-/// What the render stage hands the replay stage when the server
-/// pipelines: the frame is rendered and traced, its simulation still
-/// pending on the sim pool.
-struct Staged {
-    camera: Camera,
-    image: Image,
-    trace: Trace,
-}
-
-/// The per-session state a worker lane mutates while rendering one of
-/// the session's frames. Guarded by a mutex, but never contended: the
-/// scheduler keeps at most one frame of a session in flight.
+/// The per-session state a worker lane mutates while rendering, tracing,
+/// and replaying one of the session's frames. Guarded by a mutex, but
+/// never contended: the scheduler keeps at most one frame of a session
+/// in flight.
 struct SessionState {
     renderer: Box<dyn Renderer + Send>,
     path: CameraPath,
@@ -552,15 +544,6 @@ pub struct RenderServer {
     lookahead: usize,
     lanes_requested: usize,
     lane_pool: Option<LanePool>,
-    /// Whether served frames split into a render stage (on `lane_pool`)
-    /// and a trace-replay stage (on `sim_pool`), so a lane starts the
-    /// next frame's render while the previous frame's replay is still
-    /// simulating. Delivery and accounting stay in schedule order, so
-    /// outputs are bit-identical with the overlap off.
-    overlap: bool,
-    /// Replay lanes for the pipelined path; `None` until serving starts
-    /// (and always `None` without an accelerator or with overlap off).
-    sim_pool: Option<LanePool>,
     /// Schedule slots assigned so far (the next slot's index).
     ticks: u64,
     /// Session / pipeline scheduled at the previous tick.
@@ -608,8 +591,6 @@ impl RenderServer {
             lookahead: DEFAULT_LOOKAHEAD,
             lanes_requested: uni_parallel::worker_count(),
             lane_pool: None,
-            overlap: uni_parallel::overlap_enabled(),
-            sim_pool: None,
             ticks: 0,
             last_session: None,
             last_pipeline: None,
@@ -688,24 +669,6 @@ impl RenderServer {
         self
     }
 
-    /// Enables or disables render/replay pipelining (default:
-    /// [`uni_parallel::overlap_enabled`] — on unless
-    /// `UNI_RENDER_OVERLAP=0`). Only effective with an accelerator
-    /// attached; without one there is no replay to overlap with. Never
-    /// changes delivered frames or accounting — only execution overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after serving has started.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        assert!(
-            self.lane_pool.is_none(),
-            "overlap must be set before serving starts"
-        );
-        self.overlap = overlap;
-        self
-    }
-
     /// Overrides the dispatch lookahead (default [`DEFAULT_LOOKAHEAD`];
     /// clamped to ≥ 1): the most frames the server schedules beyond the
     /// delivered prefix, and therefore how many delivered frames pass
@@ -756,16 +719,6 @@ impl RenderServer {
         );
         self.degrade = Some(policy);
         self
-    }
-
-    /// Registers a camera stream and returns its dense session id.
-    ///
-    /// Equivalent to `admit(request).id()` — kept for callers of the
-    /// pre-handle API. New code should prefer
-    /// [`admit`](RenderServer::admit), which returns a typed
-    /// [`SessionHandle`].
-    pub fn add_session(&mut self, request: SessionRequest) -> usize {
-        self.admit(request).id()
     }
 
     /// Admits a camera stream and returns its [`SessionHandle`]. Legal
@@ -1087,9 +1040,10 @@ impl RenderServer {
     /// session's path is exhausted (staged admissions are activated
     /// rather than abandoned, so `None` really means *nothing left*).
     ///
-    /// Rendering (and simulation) of upcoming frames overlaps on the
-    /// worker lanes, but delivery and accounting strictly follow the
-    /// schedule order, so outputs and summaries are deterministic.
+    /// Each scheduled frame is rendered, traced, and replayed as one job
+    /// on one worker lane, and frames on different lanes run in
+    /// parallel. Delivery and accounting strictly follow the schedule
+    /// order, so outputs and summaries are deterministic.
     pub fn next_frame(&mut self) -> Option<ServedFrame> {
         self.fill_lanes();
         let pending = self.pending.pop_front()?;
@@ -1445,12 +1399,6 @@ impl RenderServer {
     fn fill_lanes(&mut self) {
         if self.lane_pool.is_none() {
             self.lane_pool = Some(LanePool::new(self.lanes_requested));
-            if self.overlap && self.accel.is_some() {
-                // `spawn`, not `new`: even a one-lane server overlaps —
-                // the render runs inline (or on its lane) while the
-                // replay simulates on its own thread.
-                self.sim_pool = Some(LanePool::spawn(self.lanes_requested));
-            }
         }
         let window = {
             let pool = self.lane_pool.as_ref().expect("lane pool created above");
@@ -1512,65 +1460,27 @@ impl RenderServer {
             let scene = Arc::clone(&self.scene);
             let accel = self.accel.clone();
             let pool = self.lane_pool.as_ref().expect("lane pool created above");
-            let ticket = match (accel, &self.sim_pool) {
-                (Some(accel), Some(sim_pool)) => {
-                    // Pipelined: the render lane hands off to the replay
-                    // lane and is free for the next frame immediately.
-                    // Both stages key their lane off the same tick, so
-                    // per-lane FIFO order is still the schedule order.
-                    let render_state = Arc::clone(&state);
-                    let staged: Ticket<Staged> = pool.submit_at(tick, move || {
-                        let mut guard = render_state.lock().expect("session state");
-                        let state = &mut *guard;
-                        let camera = degraded_camera(state.path.camera(index), res_shift);
-                        let mut image = state.pool.acquire_for(camera.width, camera.height);
-                        state.renderer.render_into(&scene, &camera, &mut image);
+            let ticket = pool.submit_at(tick, move || {
+                let mut guard = state.lock().expect("session state");
+                let state = &mut *guard;
+                let camera = degraded_camera(state.path.camera(index), res_shift);
+                let mut image = state.pool.acquire_for(camera.width, camera.height);
+                state.renderer.render_into(&scene, &camera, &mut image);
+                let (trace, sim) = match &accel {
+                    Some(accel) => {
                         let trace = state.renderer.trace(&scene, &camera);
-                        Staged {
-                            camera,
-                            image,
-                            trace,
-                        }
-                    });
-                    sim_pool.submit_at(tick, move || {
-                        let staged = staged.wait();
-                        // The state mutex is uncontended: at most one
-                        // frame of a session is in flight, and this
-                        // frame's render stage already released it.
-                        let sim = {
-                            let mut guard = state.lock().expect("session state");
-                            accel.simulate_with_scratch(&staged.trace, &mut guard.replay)
-                        };
-                        Rendered {
-                            camera: staged.camera,
-                            image: staged.image,
-                            trace: Some(staged.trace),
-                            sim: Some(sim),
-                        }
-                    })
-                }
-                (accel, _) => pool.submit_at(tick, move || {
-                    let mut guard = state.lock().expect("session state");
-                    let state = &mut *guard;
-                    let camera = degraded_camera(state.path.camera(index), res_shift);
-                    let mut image = state.pool.acquire_for(camera.width, camera.height);
-                    state.renderer.render_into(&scene, &camera, &mut image);
-                    let (trace, sim) = match &accel {
-                        Some(accel) => {
-                            let trace = state.renderer.trace(&scene, &camera);
-                            let sim = accel.simulate_with_scratch(&trace, &mut state.replay);
-                            (Some(trace), Some(sim))
-                        }
-                        None => (None, None),
-                    };
-                    Rendered {
-                        camera,
-                        image,
-                        trace,
-                        sim,
+                        let sim = accel.simulate_with_scratch(&trace, &mut state.replay);
+                        (Some(trace), Some(sim))
                     }
-                }),
-            };
+                    None => (None, None),
+                };
+                Rendered {
+                    camera,
+                    image,
+                    trace,
+                    sim,
+                }
+            });
             self.pending.push_back(Pending {
                 session: sid,
                 index,
@@ -1670,11 +1580,11 @@ mod tests {
         let mut server = RenderServer::new(Arc::clone(&scene)).with_lanes(2);
         // Session 0: 3 frames; session 1: 1 frame — it drops out of the
         // cycle after its only frame.
-        server.add_session(SessionRequest::new(
+        server.admit(SessionRequest::new(
             Box::new(MeshPipeline::default()),
             CameraPath::orbit(spec.orbit(24, 16), 3),
         ));
-        server.add_session(SessionRequest::new(
+        server.admit(SessionRequest::new(
             Box::new(MlpPipeline::default()),
             CameraPath::orbit(spec.orbit(16, 12), 1),
         ));
@@ -1695,7 +1605,7 @@ mod tests {
             .with_accelerator(Accelerator::new(AcceleratorConfig::paper()))
             .with_lanes(2);
         for _ in 0..3 {
-            server.add_session(SessionRequest::new(
+            server.admit(SessionRequest::new(
                 Box::new(MeshPipeline::default()),
                 CameraPath::orbit(spec.orbit(20, 14), 3),
             ));
@@ -1723,11 +1633,11 @@ mod tests {
             let mut server = RenderServer::new(Arc::clone(&scene))
                 .with_accelerator(Accelerator::new(AcceleratorConfig::paper()))
                 .with_lanes(lanes);
-            server.add_session(SessionRequest::new(
+            server.admit(SessionRequest::new(
                 Box::new(MeshPipeline::default()),
                 CameraPath::orbit(spec.orbit(20, 14), 2),
             ));
-            server.add_session(SessionRequest::new(
+            server.admit(SessionRequest::new(
                 Box::new(MlpPipeline::default()),
                 CameraPath::orbit(spec.orbit(16, 12), 2),
             ));
@@ -1742,7 +1652,7 @@ mod tests {
         // build an empty pool that panics on first dispatch.
         let (scene, spec) = scene_and_spec();
         let mut server = RenderServer::new(scene).with_lanes(0);
-        server.add_session(SessionRequest::new(
+        server.admit(SessionRequest::new(
             Box::new(MeshPipeline::default()),
             CameraPath::orbit(spec.orbit(16, 12), 2),
         ));
@@ -1754,7 +1664,7 @@ mod tests {
     fn recycle_reports_whether_the_pool_took_the_buffer() {
         let (scene, spec) = scene_and_spec();
         let mut server = RenderServer::new(scene).with_lanes(1);
-        server.add_session(SessionRequest::new(
+        server.admit(SessionRequest::new(
             Box::new(MeshPipeline::default()),
             CameraPath::orbit(spec.orbit(16, 12), 2),
         ));
@@ -1780,11 +1690,11 @@ mod tests {
                 .with_accelerator(Accelerator::new(AcceleratorConfig::paper()))
                 .with_lanes(lanes)
                 .with_lookahead(3);
-            server.add_session(SessionRequest::new(
+            server.admit(SessionRequest::new(
                 Box::new(MeshPipeline::default()),
                 CameraPath::orbit(spec.orbit(20, 14), 4),
             ));
-            server.add_session(SessionRequest::new(
+            server.admit(SessionRequest::new(
                 Box::new(MlpPipeline::default()),
                 CameraPath::orbit(spec.orbit(16, 12), 4),
             ));
@@ -2023,7 +1933,7 @@ mod tests {
         let (scene, spec) = scene_and_spec();
         let serve = |policy_server: RenderServer| {
             let mut server = policy_server;
-            server.add_session(
+            server.admit(
                 SessionRequest::new(
                     Box::new(MeshPipeline::default()),
                     CameraPath::orbit(spec.orbit(16, 12), 2),

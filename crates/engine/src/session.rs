@@ -10,14 +10,18 @@
 //! switches *inside* each frame and the ones *at frame boundaries*,
 //! where a stream whose frames end and start in the same micro-operator
 //! family pays nothing.
+//!
+//! Each frame is rendered, traced, and replayed in one serial step on
+//! the calling thread. That keeps the session an independent reference:
+//! the server and fleet determinism suites compare served frames against
+//! it bit for bit.
 
 use crate::path::CameraPath;
 use crate::pool::FramePool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use uni_core::{Accelerator, ReplayScratch, SimReport};
 use uni_geometry::{Camera, Image};
 use uni_microops::{BoundaryMeter, Trace};
-use uni_parallel::{LanePool, Ticket};
 use uni_renderers::Renderer;
 use uni_scene::BakedScene;
 
@@ -101,16 +105,6 @@ impl StreamSummary {
     }
 }
 
-/// A frame rendered ahead of delivery: its trace replay is in flight on
-/// the session's replay lane while the *next* frame renders on the
-/// calling thread — the render/replay pipelining overlap.
-struct StagedFrame {
-    index: usize,
-    camera: Camera,
-    image: Image,
-    ticket: Ticket<(Trace, SimReport)>,
-}
-
 /// A streaming render session over one scene, renderer, and camera path.
 ///
 /// The scene is held behind an [`Arc`], so many sessions (and the
@@ -118,29 +112,15 @@ struct StagedFrame {
 /// scene without per-session copies — pass an `Arc<BakedScene>` to share,
 /// or a plain [`BakedScene`] to let the session own it.
 ///
-/// With an accelerator attached, the session **pipelines** by default:
-/// frame `N`'s dataflow replay runs on a dedicated replay lane while
-/// frame `N + 1` renders on the calling thread. Delivery and accounting
-/// stay in strict path order, so every report and summary field is
-/// bit-identical with the overlap off (see
-/// [`RenderSession::with_overlap`]) — the only observable difference is
-/// that a recycled stream holds **two** framebuffers instead of one (the
-/// prefetched frame needs its own target).
+/// Every frame is rendered, traced, and replayed on the calling thread,
+/// in path order, so a recycled stream holds exactly one framebuffer.
 pub struct RenderSession {
     scene: Arc<BakedScene>,
     renderer: Box<dyn Renderer>,
     path: CameraPath,
     pool: FramePool,
-    accel: Option<Arc<Accelerator>>,
-    /// Shared with the replay lane's in-flight job; never contended —
-    /// at most one replay is in flight and the delivering thread only
-    /// locks it on the serial (non-overlap) path.
-    replay: Arc<Mutex<ReplayScratch>>,
-    overlap: bool,
-    /// Single-lane pool the overlapped path replays traces on; spawned
-    /// lazily at the first overlapped frame.
-    replay_lane: Option<LanePool>,
-    staged: Option<StagedFrame>,
+    accel: Option<Accelerator>,
+    replay: ReplayScratch,
     cursor: usize,
     boundary: BoundaryMeter,
     frames_done: usize,
@@ -169,10 +149,7 @@ impl RenderSession {
             path,
             pool: FramePool::new(),
             accel: None,
-            replay: Arc::new(Mutex::new(ReplayScratch::default())),
-            overlap: uni_parallel::overlap_enabled(),
-            replay_lane: None,
-            staged: None,
+            replay: ReplayScratch::default(),
             cursor: 0,
             boundary: BoundaryMeter::new(),
             frames_done: 0,
@@ -186,17 +163,7 @@ impl RenderSession {
     /// Additionally traces every frame and simulates it on `accel`,
     /// reusing one [`ReplayScratch`] across the stream.
     pub fn with_accelerator(mut self, accel: Accelerator) -> Self {
-        self.accel = Some(Arc::new(accel));
-        self
-    }
-
-    /// Enables or disables render/replay pipelining (see the type docs).
-    /// Defaults to [`uni_parallel::overlap_enabled`] —
-    /// on unless `UNI_RENDER_OVERLAP=0`. Only consulted when an
-    /// accelerator is attached; image-only sessions have no replay to
-    /// overlap with and always stream single-buffered.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
+        self.accel = Some(accel);
         self
     }
 
@@ -226,10 +193,9 @@ impl RenderSession {
         &self.pool
     }
 
-    /// Frames not yet streamed (a frame prefetched by the overlap but
-    /// not yet delivered still counts as remaining).
+    /// Frames not yet streamed.
     pub fn remaining(&self) -> usize {
-        self.path.len() - self.cursor + usize::from(self.staged.is_some())
+        self.path.len() - self.cursor
     }
 
     /// Returns a consumed frame's buffer to the pool so the next
@@ -241,9 +207,6 @@ impl RenderSession {
     /// Renders (and, with an accelerator, traces + simulates) the next
     /// frame of the path. Returns `None` once the path is exhausted.
     pub fn next_frame(&mut self) -> Option<FrameReport> {
-        if self.overlap && self.accel.is_some() {
-            return self.next_frame_overlapped();
-        }
         if self.cursor >= self.path.len() {
             return None;
         }
@@ -260,11 +223,11 @@ impl RenderSession {
         let mut trace_out = None;
         let mut sim_out = None;
         let mut boundary = false;
-        if let Some(accel) = self.accel.clone() {
+        if let Some(accel) = &self.accel {
             let trace = self.renderer.trace(&self.scene, &camera);
-            let sim = accel
-                .simulate_with_scratch(&trace, &mut self.replay.lock().expect("replay scratch"));
-            boundary = self.account_frame(accel.config(), &trace, &sim);
+            let sim = accel.simulate_with_scratch(&trace, &mut self.replay);
+            let cfg = *accel.config();
+            boundary = self.account_frame(&cfg, &trace, &sim);
             trace_out = Some(trace);
             sim_out = Some(sim);
         }
@@ -279,77 +242,12 @@ impl RenderSession {
         })
     }
 
-    /// The pipelined frame path: deliver the staged frame (waiting out
-    /// its in-flight replay) after staging its successor, so the
-    /// successor's render overlapped this frame's replay.
-    fn next_frame_overlapped(&mut self) -> Option<FrameReport> {
-        if self.staged.is_none() {
-            self.staged = self.stage_frame();
-        }
-        let cur = self.staged.take()?;
-        // Prefetch: frame N+1 renders here while frame N's replay runs
-        // on the lane. Per-lane FIFO keeps replays in path order.
-        self.staged = self.stage_frame();
-        let (trace, sim) = cur.ticket.wait();
-        // Delivery-order accounting, identical to the serial path.
-        let accel = Arc::clone(
-            self.accel
-                .as_ref()
-                .expect("overlap requires an accelerator"),
-        );
-        let boundary = self.account_frame(accel.config(), &trace, &sim);
-        self.frames_done += 1;
-        Some(FrameReport {
-            index: cur.index,
-            camera: cur.camera,
-            image: cur.image,
-            trace: Some(trace),
-            sim: Some(sim),
-            boundary_reconfiguration: boundary,
-        })
-    }
-
-    /// Renders the next frame of the path and submits its trace replay
-    /// to the replay lane, returning the staged frame without waiting.
-    fn stage_frame(&mut self) -> Option<StagedFrame> {
-        if self.cursor >= self.path.len() {
-            return None;
-        }
-        let index = self.cursor;
-        self.cursor += 1;
-        let camera = self.path.camera(index);
-        let mut image = self.pool.acquire_for(camera.width, camera.height);
-        self.renderer.render_into(&self.scene, &camera, &mut image);
-        let trace = self.renderer.trace(&self.scene, &camera);
-        let accel = Arc::clone(
-            self.accel
-                .as_ref()
-                .expect("overlap requires an accelerator"),
-        );
-        let replay = Arc::clone(&self.replay);
-        let lane = self
-            .replay_lane
-            // `spawn`, not `new`: a one-lane `new` pool would run the
-            // replay inline on this thread and serialize the pipeline.
-            .get_or_insert_with(|| LanePool::spawn(1));
-        let ticket = lane.submit(0, move || {
-            let mut scratch = replay.lock().expect("replay scratch");
-            let sim = accel.simulate_with_scratch(&trace, &mut scratch);
-            drop(scratch);
-            (trace, sim)
-        });
-        Some(StagedFrame {
-            index,
-            camera,
-            image,
-            ticket,
-        })
-    }
-
     /// Charges one delivered frame to the stream totals (boundary
     /// switch, in-frame reconfigurations, cycles, seconds) and returns
-    /// whether entering it paid a boundary reconfiguration. Called in
-    /// delivery order on both the serial and the overlapped path.
+    /// whether entering it paid a boundary reconfiguration. Boundaries
+    /// are metered by the server's pipeline-aware rule; one renderer
+    /// never crosses pipelines, so only the seam's micro-operator
+    /// families decide.
     fn account_frame(
         &mut self,
         cfg: &uni_core::AcceleratorConfig,
@@ -358,7 +256,10 @@ impl RenderSession {
     ) -> bool {
         let mut boundary = false;
         let mut frame_seconds = sim.seconds;
-        if self.boundary.observe(trace.first_op(), trace.last_op()) {
+        if self
+            .boundary
+            .observe_for(self.renderer.pipeline(), trace.first_op(), trace.last_op())
+        {
             boundary = true;
             // Per-frame simulation charges only in-frame switches
             // (a frame's first op is free), so the stream pays the
@@ -452,9 +353,7 @@ mod tests {
 
     #[test]
     fn recycling_keeps_the_stream_allocation_free() {
-        // Overlap off: the prefetched frame of the pipelined path needs a
-        // second buffer, and this test pins the single-buffer contract.
-        let mut s = session(4).with_overlap(false);
+        let mut s = session(4);
         let mut ptr = None;
         while let Some(frame) = s.next_frame() {
             let p = frame.image.pixels().as_ptr();
@@ -465,59 +364,6 @@ mod tests {
             s.recycle(frame.image);
         }
         assert_eq!(s.summary().framebuffer_allocations, 1);
-    }
-
-    #[test]
-    fn overlapped_stream_matches_serial_bit_for_bit_and_double_buffers() {
-        let run = |overlap: bool| {
-            let mut s = session(4).with_overlap(overlap);
-            let mut frames = Vec::new();
-            while let Some(f) = s.next_frame() {
-                let sim = f.sim.as_ref().expect("simulated");
-                frames.push((
-                    f.index,
-                    f.image.clone(),
-                    sim.cycles,
-                    f.boundary_reconfiguration,
-                ));
-                s.recycle(f.image);
-            }
-            (frames, s.summary())
-        };
-        let (serial_frames, serial) = run(false);
-        let (overlap_frames, overlapped) = run(true);
-        assert_eq!(serial_frames, overlap_frames, "delivery is bit-identical");
-        assert_eq!(serial.frames, overlapped.frames);
-        assert_eq!(serial.total_cycles, overlapped.total_cycles);
-        assert_eq!(serial.total_seconds, overlapped.total_seconds);
-        assert_eq!(
-            serial.in_frame_reconfigurations,
-            overlapped.in_frame_reconfigurations
-        );
-        assert_eq!(
-            serial.boundary_reconfigurations,
-            overlapped.boundary_reconfigurations
-        );
-        assert_eq!(serial.framebuffer_allocations, 1);
-        assert_eq!(
-            overlapped.framebuffer_allocations, 2,
-            "the pipelined stream double-buffers: one frame in hand, one prefetched"
-        );
-    }
-
-    #[test]
-    fn overlap_prefetch_counts_toward_remaining_until_delivered() {
-        let mut s = session(3).with_overlap(true);
-        assert_eq!(s.remaining(), 3);
-        let first = s.next_frame().expect("frame 0");
-        // Frame 1 is staged (rendered, replay in flight) but undelivered.
-        assert_eq!(s.remaining(), 2);
-        s.recycle(first.image);
-        while let Some(frame) = s.next_frame() {
-            s.recycle(frame.image);
-        }
-        assert_eq!(s.remaining(), 0);
-        assert!(s.next_frame().is_none());
     }
 
     #[test]

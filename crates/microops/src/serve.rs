@@ -62,9 +62,9 @@ pub struct BoundaryEvent {
 
 /// Counts PE-array mode switches across a sequence of scheduled frames.
 ///
-/// Feed it each scheduled frame's boundary micro-operator families in
-/// schedule order; it reports whether *entering* that frame required a
-/// reconfiguration (the previous frame ended in a different family) and
+/// Feed it each scheduled frame's pipeline and boundary micro-operator
+/// families in schedule order ([`BoundaryMeter::observe_for`]); it
+/// reports whether *entering* that frame required a reconfiguration and
 /// keeps running totals of switches paid and avoided. The first observed
 /// frame is free — there is no previous mode to switch from.
 ///
@@ -73,8 +73,7 @@ pub struct BoundaryEvent {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BoundaryMeter {
     last: Option<MicroOp>,
-    /// Pipeline of the most recent non-empty frame, when the caller
-    /// meters pipeline-aware boundaries ([`BoundaryMeter::observe_for`]).
+    /// Pipeline of the most recent non-empty frame.
     last_pipeline: Option<Pipeline>,
     /// The most recent pipeline-aware boundary crossed, pair and verdict
     /// ([`BoundaryMeter::last_boundary`]) — the history switch-cost
@@ -88,39 +87,6 @@ impl BoundaryMeter {
     /// A meter that has observed nothing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Observes the next scheduled frame's boundary families and returns
-    /// whether entering it required a mode switch.
-    ///
-    /// Pipeline-agnostic: two frames chain for free whenever their
-    /// boundary families match, whichever renderers produced them. This
-    /// is the single-stream model ([`crate::Trace`]s of one renderer) —
-    /// multi-renderer schedules should use
-    /// [`BoundaryMeter::observe_for`], which also charges the pipeline
-    /// switch itself.
-    pub fn observe(&mut self, first: Option<MicroOp>, last: Option<MicroOp>) -> bool {
-        let switched = match (self.last, first) {
-            (Some(prev), Some(first)) if prev == first => {
-                self.avoided += 1;
-                false
-            }
-            (Some(_), Some(_)) => {
-                self.switches += 1;
-                true
-            }
-            _ => false,
-        };
-        if first.is_some() || last.is_some() {
-            // A pipeline-agnostic observation invalidates the pipeline
-            // memory: the frame's renderer is unknown, so a later
-            // `observe_for` must not amortize against (or attribute a
-            // pair to) a stale pipeline from before this frame.
-            self.last_pipeline = None;
-            self.last_event = None;
-        }
-        self.last = last.or(self.last);
-        switched
     }
 
     /// Observes the next scheduled frame's boundary families *and its
@@ -152,9 +118,7 @@ impl BoundaryMeter {
                 }
                 // Record the boundary with its ordered pipeline pair —
                 // amortized same-renderer boundaries included, since the
-                // cost model learns from both outcomes. The pair is
-                // unknowable (and not recorded) when the previous frame
-                // was metered pipeline-agnostically.
+                // cost model learns from both outcomes.
                 self.last_event = self.last_pipeline.map(|from| BoundaryEvent {
                     from,
                     to: pipeline,
@@ -177,8 +141,7 @@ impl BoundaryMeter {
     /// The most recent pipeline-aware boundary crossed by
     /// [`BoundaryMeter::observe_for`]: its ordered pipeline pair and
     /// whether it reconfigured. `None` when the last observation was not
-    /// a real boundary (first frame, empty trace, or a pipeline-agnostic
-    /// [`BoundaryMeter::observe`]). Feed it to
+    /// a real boundary (first frame or empty trace). Feed it to
     /// [`crate::SwitchCostModel::observe`] to learn per-pair switch
     /// costs from the schedule as served.
     pub fn last_boundary(&self) -> Option<BoundaryEvent> {
@@ -563,12 +526,13 @@ mod tests {
     #[test]
     fn meter_counts_switches_and_amortizations() {
         let mut m = BoundaryMeter::new();
+        let p = Pipeline::Mesh;
         // First frame is free.
-        assert!(!m.observe(Some(MicroOp::Gemm), Some(MicroOp::Gemm)));
+        assert!(!m.observe_for(p, Some(MicroOp::Gemm), Some(MicroOp::Gemm)));
         // Same family: amortized.
-        assert!(!m.observe(Some(MicroOp::Gemm), Some(MicroOp::Sorting)));
+        assert!(!m.observe_for(p, Some(MicroOp::Gemm), Some(MicroOp::Sorting)));
         // Sorting -> Gemm: switch.
-        assert!(m.observe(Some(MicroOp::Gemm), Some(MicroOp::Gemm)));
+        assert!(m.observe_for(p, Some(MicroOp::Gemm), Some(MicroOp::Gemm)));
         assert_eq!(m.switches(), 1);
         assert_eq!(m.avoided(), 1);
         assert_eq!(m.boundaries(), 2);
@@ -639,50 +603,16 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_agnostic_observation_invalidates_the_pipeline_memory() {
-        // Regression for the mixed-semantics latent bug: after a
-        // pipeline-agnostic `observe`, the meter must not amortize a
-        // later `observe_for` against the pipeline remembered from
-        // *before* that frame — the interleaved frame's renderer is
-        // unknown, so the pair across it is unknowable.
-        let mut m = BoundaryMeter::new();
-        m.observe_for(Pipeline::Mesh, Some(MicroOp::Gemm), Some(MicroOp::Gemm));
-        m.observe(Some(MicroOp::Gemm), Some(MicroOp::Gemm));
-        assert_eq!(m.last_boundary(), None, "agnostic frames clear the event");
-        let switched = m.observe_for(Pipeline::Mesh, Some(MicroOp::Gemm), Some(MicroOp::Gemm));
-        assert!(
-            switched,
-            "unknown prior pipeline must pay the switch, not amortize \
-             against stale memory"
-        );
-        assert_eq!(
-            m.last_boundary(),
-            None,
-            "no pair is attributable across an agnostic frame"
-        );
-        // And the two semantics still agree on a homogeneous stream
-        // driven purely through either entry point (the accounting mixes
-        // pinned by tests/server_accounting.rs rely on this).
-        let mut agnostic = BoundaryMeter::new();
-        let mut aware = BoundaryMeter::new();
-        for _ in 0..4 {
-            agnostic.observe(Some(MicroOp::Gemm), Some(MicroOp::Gemm));
-            aware.observe_for(Pipeline::Mesh, Some(MicroOp::Gemm), Some(MicroOp::Gemm));
-        }
-        assert_eq!(agnostic.switches(), aware.switches());
-        assert_eq!(agnostic.avoided(), aware.avoided());
-    }
-
-    #[test]
     fn meter_skips_empty_frames_without_forgetting_the_mode() {
         let mut m = BoundaryMeter::new();
-        m.observe(Some(MicroOp::Sorting), Some(MicroOp::Sorting));
+        let p = Pipeline::Gaussian3d;
+        m.observe_for(p, Some(MicroOp::Sorting), Some(MicroOp::Sorting));
         // An empty trace neither pays nor avoids, and the mode survives.
-        assert!(!m.observe(None, None));
+        assert!(!m.observe_for(p, None, None));
         assert_eq!(m.boundaries(), 0, "first frame free, empty frame skipped");
         assert_eq!(m.last_op(), Some(MicroOp::Sorting));
         // The remembered mode still drives the next boundary.
-        assert!(m.observe(Some(MicroOp::Gemm), Some(MicroOp::Gemm)));
+        assert!(m.observe_for(p, Some(MicroOp::Gemm), Some(MicroOp::Gemm)));
         assert_eq!(m.boundaries(), 1);
     }
 

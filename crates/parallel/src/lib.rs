@@ -126,26 +126,10 @@ impl LanePool {
         if !is_parallel() || lanes == 1 {
             return Self { lanes: Vec::new() };
         }
-        Self::spawn_lanes(lanes)
+        Self::start_workers(lanes)
     }
 
-    /// Creates a pool that runs off the calling thread even with a single
-    /// lane, so a submitted job can overlap work the caller keeps doing —
-    /// the shape the render/replay pipelining in `uni-engine` needs (a
-    /// one-lane [`LanePool::new`] would run replay inline and serialize).
-    ///
-    /// Still degenerates to inline execution when threading is
-    /// unavailable (`UNI_RENDER_THREADS=1` or the `threads` feature is
-    /// off), keeping results bit-identical at every thread count.
-    pub fn spawn(lanes: usize) -> Self {
-        let lanes = lanes.max(1);
-        if !is_parallel() {
-            return Self { lanes: Vec::new() };
-        }
-        Self::spawn_lanes(lanes)
-    }
-
-    fn spawn_lanes(lanes: usize) -> Self {
+    fn start_workers(lanes: usize) -> Self {
         let lanes = (0..lanes)
             .map(|i| {
                 let (tx, rx) = mpsc::channel::<LaneJob>();
@@ -177,11 +161,6 @@ impl LanePool {
     /// Number of lanes jobs can be submitted to (1 when inline).
     pub fn lanes(&self) -> usize {
         self.lanes.len().max(1)
-    }
-
-    /// Whether submissions run on the calling thread.
-    pub fn is_inline(&self) -> bool {
-        self.lanes.is_empty()
     }
 
     /// Submits `job` to lane `lane % self.lanes()` and returns a ticket
@@ -306,22 +285,6 @@ pub fn worker_count() -> usize {
 /// Whether the helpers will actually spawn threads.
 pub fn is_parallel() -> bool {
     worker_count() > 1
-}
-
-/// Whether render/replay pipelining defaults on (`UNI_RENDER_OVERLAP`).
-///
-/// On unless the variable is set to `0`, `off`, or `false`. Overlap only
-/// changes *when* work executes — delivered frames, traces, reports, and
-/// all schedule-order accounting are bit-identical either way — so the
-/// knob exists for debugging and for callers that want the seed-era
-/// single-framebuffer streaming behavior back
-/// (`RenderSession::with_overlap(false)` per session, or this env var
-/// globally).
-pub fn overlap_enabled() -> bool {
-    match std::env::var("UNI_RENDER_OVERLAP") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
 }
 
 /// Splits `data` into consecutive chunks of `band_len` elements (the last
@@ -610,27 +573,11 @@ mod tests {
     }
 
     #[test]
-    fn spawned_single_lane_pool_runs_off_thread_when_parallel() {
-        let pool = LanePool::spawn(1);
-        assert_eq!(pool.lanes(), 1);
-        if is_parallel() {
-            assert!(!pool.is_inline(), "spawn(1) must not run inline");
-        } else {
-            assert!(pool.is_inline(), "serial environments stay inline");
-        }
-        let tickets: Vec<Ticket<usize>> = (0..6)
-            .map(|i| pool.submit_at(i as u64, move || i * 2))
-            .collect();
-        let results: Vec<usize> = tickets.into_iter().map(Ticket::wait).collect();
-        assert_eq!(results, (0..6).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn panic_message_carries_lane_and_tick_provenance() {
-        // spawn_lanes directly: bypasses the inline fallback so the
+        // start_workers directly: bypasses the inline fallback so the
         // off-thread provenance path is exercised even when the test
         // environment itself is single-threaded.
-        let pool = LanePool::spawn_lanes(2);
+        let pool = LanePool::start_workers(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.submit_at(7, || panic!("splat buffer overflow")).wait()
         }))

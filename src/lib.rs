@@ -28,11 +28,7 @@
 //! image plus the frame's micro-operator trace and simulated accelerator
 //! report. Recycling each frame's buffer keeps the stream allocation-free
 //! after the first frame; the end-of-stream summary reports throughput
-//! and the reconfigurations amortized across frame boundaries. With an
-//! accelerator attached the session pipelines by default — frame `N+1`
-//! renders while frame `N`'s dataflow replay simulates — which double
-//! buffers (two framebuffer allocations, not one) without changing a
-//! single delivered bit.
+//! and the reconfigurations amortized across frame boundaries.
 //!
 //! ```
 //! use uni_render::prelude::*;
@@ -53,9 +49,7 @@
 //! }
 //! let summary = session.summary();
 //! assert_eq!(summary.frames, 4);
-//! // Render/replay pipelining double-buffers; `with_overlap(false)`
-//! // (or UNI_RENDER_OVERLAP=0) restores the single-buffer stream.
-//! assert_eq!(summary.framebuffer_allocations, 2);
+//! assert_eq!(summary.framebuffer_allocations, 1);
 //! assert!(summary.mean_fps() > 0.0);
 //! ```
 //!
@@ -80,9 +74,9 @@ pub mod prelude {
         AdmissionControl, AdmitDecision, CameraPath, CostAware, DegradePolicy, EarliestDeadline,
         FleetAdmitDecision, FleetCacheStats, FleetFrame, FleetHandle, FleetSessionRequest,
         FleetSummary, FramePool, FrameReport, LoadView, PolicyContext, Priority, RenderServer,
-        RenderSession, RoundRobin, SceneCache, SceneCacheConfig, SceneKey, ScheduleContext,
-        SchedulePolicy, ServedFrame, ServerFleet, ServerSummary, SessionHandle, SessionRequest,
-        SessionStats, SessionView, ShardSummary, StreamSummary, SwitchCostModel, WeightedFair,
+        RenderSession, RoundRobin, SceneCache, SceneCacheConfig, SceneKey, SchedulePolicy,
+        ServedFrame, ServerFleet, ServerSummary, SessionHandle, SessionRequest, SessionStats,
+        SessionView, ShardSummary, StreamSummary, SwitchCostModel, WeightedFair,
     };
     pub use uni_geometry::{Aabb, Camera, Image, Mat4, Orbit, Ray, Rgb, Vec2, Vec3, Vec4};
     pub use uni_microops::{MicroOp, Pipeline, Trace};

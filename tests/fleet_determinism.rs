@@ -3,9 +3,8 @@
 //!
 //! 1. Every session a [`ServerFleet`] serves delivers frames
 //!    bit-identical to a standalone [`RenderSession`] walking the same
-//!    path on the same scene — at `UNI_RENDER_THREADS` 1 and 4, with
-//!    render/replay overlap on and off — and the [`FleetSummary`] is
-//!    consistent and thread-invariant.
+//!    path on the same scene — at `UNI_RENDER_THREADS` 1 and 4 — and
+//!    the [`FleetSummary`] is consistent and thread-invariant.
 //! 2. A mid-serve [`ServerFleet::migrate`] yields a bit-identical
 //!    permutation of the unmigrated stream: per-session delivery stays
 //!    in path order with the exact standalone bits, only the
@@ -85,17 +84,16 @@ fn standalone_hashes(mixes: &[Mix]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn fleet_for(overlap: bool) -> ServerFleet {
+fn fleet() -> ServerFleet {
     ServerFleet::new(SceneCacheConfig::default())
         .with_accelerator_config(AcceleratorConfig::paper())
         .with_lanes(4)
-        .with_overlap(overlap)
 }
 
 /// Serves every session through a fleet (one shard per scene): hashes
 /// indexed per session in path order, plus the end-of-run summary.
-fn fleet_hashes(mixes: &[Mix], overlap: bool) -> (Vec<Vec<u64>>, FleetSummary) {
-    let mut fleet = fleet_for(overlap);
+fn fleet_hashes(mixes: &[Mix]) -> (Vec<Vec<u64>>, FleetSummary) {
+    let mut fleet = fleet();
     for (id, &mix) in mixes.iter().enumerate() {
         let handle = fleet.admit(&spec(mix.scene), request_for(id, mix));
         assert_eq!(handle.id(), id, "fleet handles are dense");
@@ -135,22 +133,19 @@ proptest! {
         let total: usize = mixes.iter().map(|m| m.frames).sum();
 
         let mut reference: Option<(Vec<Vec<u64>>, FleetSummary)> = None;
-        for overlap in [false, true] {
-            for threads in ["1", "4"] {
-                let (served, summary) =
-                    with_threads(threads, || fleet_hashes(&mixes, overlap));
-                prop_assert_eq!(&served, &solo);
-                prop_assert!(summary.is_consistent());
-                prop_assert_eq!(summary.delivered_frames, total);
-                prop_assert_eq!(summary.cache.evictions, 0);
-                // Neither worker count nor overlap may change a single
-                // delivered bit or accounting fact.
-                if let Some((ref_hashes, ref_summary)) = &reference {
-                    prop_assert_eq!(ref_hashes, &served);
-                    prop_assert_eq!(ref_summary, &summary);
-                } else {
-                    reference = Some((served, summary));
-                }
+        for threads in ["1", "4"] {
+            let (served, summary) = with_threads(threads, || fleet_hashes(&mixes));
+            prop_assert_eq!(&served, &solo);
+            prop_assert!(summary.is_consistent());
+            prop_assert_eq!(summary.delivered_frames, total);
+            prop_assert_eq!(summary.cache.evictions, 0);
+            // The worker count may not change a single delivered bit or
+            // accounting fact.
+            if let Some((ref_hashes, ref_summary)) = &reference {
+                prop_assert_eq!(ref_hashes, &served);
+                prop_assert_eq!(ref_summary, &summary);
+            } else {
+                reference = Some((served, summary));
             }
         }
     }
@@ -165,7 +160,7 @@ fn fleet_hashes_with_migration(
     migrate_after: usize,
     cancel: bool,
 ) -> (Vec<Vec<u64>>, FleetSummary) {
-    let mut fleet = fleet_for(false).with_lookahead(2);
+    let mut fleet = fleet().with_lookahead(2);
     let mut handles = Vec::with_capacity(mixes.len());
     for (id, &mix) in mixes.iter().enumerate() {
         handles.push(fleet.admit(&spec(mix.scene), request_for(id, mix)));

@@ -32,7 +32,7 @@ fn server_with(
         .with_accelerator(Accelerator::new(AcceleratorConfig::paper()))
         .with_lanes(lanes);
     for (renderer, path) in sessions {
-        server.add_session(SessionRequest::new(renderer, path));
+        server.admit(SessionRequest::new(renderer, path));
     }
     server
 }
@@ -48,7 +48,7 @@ fn expected_boundaries(sessions: &[(Box<dyn Renderer + Send>, CameraPath)]) -> (
         for (sid, (renderer, path)) in sessions.iter().enumerate() {
             if cursors[sid] < path.len() {
                 let trace = renderer.trace(&scene, &path.camera(cursors[sid]));
-                meter.observe(trace.first_op(), trace.last_op());
+                meter.observe_for(renderer.pipeline(), trace.first_op(), trace.last_op());
                 cursors[sid] += 1;
                 advanced = true;
             }
@@ -140,17 +140,15 @@ fn same_pipeline_sessions_pay_only_homogeneous_boundaries() {
     }
 }
 
-/// Regression for the pinned accounting mixes under *both* metering
-/// semantics, and for the latent history bug: the pipeline-aware meter
-/// must record the ordered pipeline pair of **every** real boundary —
-/// amortized same-renderer boundaries included — because switch-cost
-/// estimation consumes both outcomes. (Before this, `observe_for`
-/// recorded the pipeline memory and nothing ever consulted it.)
+/// A manual pipeline-aware replay of the round-robin schedule agrees
+/// with the server's boundary counts, and the meter records the ordered
+/// pipeline pair of **every** real boundary — amortized same-renderer
+/// boundaries included — because switch-cost estimation consumes both
+/// outcomes.
 #[test]
 fn pipeline_aware_replay_agrees_and_records_every_boundary_pair() {
     let scene = scene();
     let replay = |sessions: &[(Box<dyn Renderer + Send>, CameraPath)]| {
-        let mut agnostic = BoundaryMeter::new();
         let mut aware = BoundaryMeter::new();
         let mut model = SwitchCostModel::seeded(1.0);
         let mut events = Vec::new();
@@ -160,7 +158,6 @@ fn pipeline_aware_replay_agrees_and_records_every_boundary_pair() {
             for (sid, (renderer, path)) in sessions.iter().enumerate() {
                 if cursors[sid] < path.len() {
                     let trace = renderer.trace(&scene, &path.camera(cursors[sid]));
-                    agnostic.observe(trace.first_op(), trace.last_op());
                     aware.observe_for(renderer.pipeline(), trace.first_op(), trace.last_op());
                     if let Some(event) = aware.last_boundary() {
                         model.observe(event.from, event.to, if event.switched { 1.0 } else { 0.0 });
@@ -174,23 +171,26 @@ fn pipeline_aware_replay_agrees_and_records_every_boundary_pair() {
                 break;
             }
         }
-        (agnostic, aware, model, events)
+        (aware, model, events)
     };
 
-    // Pinned mix 1: three same-pipeline sessions. The two semantics
-    // agree on the counts, and every boundary — paid or amortized —
+    // Pinned mix 1: three same-pipeline sessions. The replay agrees with
+    // the server on the counts, and every boundary — paid or amortized —
     // carries its (hashgrid, hashgrid) pair into the history.
-    let homogeneous: Vec<(Box<dyn Renderer + Send>, CameraPath)> = (0..3)
-        .map(|s| {
-            (
-                Box::new(HashGridPipeline::default()) as Box<dyn Renderer + Send>,
-                orbit_path(s, 2, 24, 16),
-            )
-        })
-        .collect();
-    let (agnostic, aware, model, events) = replay(&homogeneous);
-    assert_eq!(agnostic.switches(), aware.switches());
-    assert_eq!(agnostic.avoided(), aware.avoided());
+    let homogeneous = || -> Vec<(Box<dyn Renderer + Send>, CameraPath)> {
+        (0..3)
+            .map(|s| {
+                (
+                    Box::new(HashGridPipeline::default()) as Box<dyn Renderer + Send>,
+                    orbit_path(s, 2, 24, 16),
+                )
+            })
+            .collect()
+    };
+    let (aware, model, events) = replay(&homogeneous());
+    let served = server_with(homogeneous(), 2).run();
+    assert_eq!(served.boundary_reconfigurations, aware.switches());
+    assert_eq!(served.boundary_switches_avoided, aware.avoided());
     assert_eq!(events.len(), 5, "every boundary after the first records");
     for event in &events {
         assert_eq!(event.from, Pipeline::HashGrid);
@@ -209,9 +209,9 @@ fn pipeline_aware_replay_agrees_and_records_every_boundary_pair() {
         5
     );
 
-    // Pinned mix 2: alternating gaussian/hashgrid. Both semantics agree
-    // (every boundary crosses families) and the history alternates the
-    // two ordered pairs, all switched.
+    // Pinned mix 2: alternating gaussian/hashgrid. Every boundary
+    // crosses pipelines, and the history alternates the two ordered
+    // pairs, all switched.
     let alternating: Vec<(Box<dyn Renderer + Send>, CameraPath)> = vec![
         (
             Box::new(GaussianPipeline::default()),
@@ -222,9 +222,8 @@ fn pipeline_aware_replay_agrees_and_records_every_boundary_pair() {
             orbit_path(1, 3, 24, 16),
         ),
     ];
-    let (agnostic, aware, model, events) = replay(&alternating);
-    assert_eq!(agnostic.switches(), aware.switches());
-    assert_eq!(agnostic.avoided(), aware.avoided());
+    let (aware, model, events) = replay(&alternating);
+    assert_eq!((aware.switches(), aware.avoided()), (5, 0));
     assert_eq!(events.len(), 5);
     for (i, event) in events.iter().enumerate() {
         assert!(event.switched, "alternating mismatched families all pay");

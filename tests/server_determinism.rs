@@ -84,7 +84,7 @@ fn served_hashes(mixes: &[Mix], lanes: usize) -> (Vec<Vec<u64>>, ServerSummary) 
         .with_accelerator(Accelerator::new(AcceleratorConfig::paper()))
         .with_lanes(lanes);
     for (id, &mix) in mixes.iter().enumerate() {
-        server.add_session(SessionRequest::new(
+        server.admit(SessionRequest::new(
             renderer(mix.pipeline),
             path_for(id, mix),
         ));

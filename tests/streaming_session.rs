@@ -39,6 +39,30 @@ fn four_frame_orbit_stream_reuses_the_framebuffer() {
     assert_eq!(session.summary().framebuffer_allocations, 1);
 }
 
+/// Attaching an accelerator keeps the single-buffer contract: a recycled
+/// simulated stream hands back the same framebuffer every frame, and the
+/// pool allocates exactly once.
+#[test]
+fn accelerator_session_streams_on_one_framebuffer() {
+    let path = orbit_path(5, 48, 32);
+    let mut session = RenderSession::new(scene().clone(), Box::new(MeshPipeline::default()), path)
+        .with_accelerator(Accelerator::new(AcceleratorConfig::paper()));
+    let mut ptr = None;
+    let mut frames = 0;
+    while let Some(frame) = session.next_frame() {
+        assert!(frame.sim.is_some(), "frame {} simulated", frame.index);
+        let here = frame.image.pixels().as_ptr();
+        if let Some(prev) = ptr {
+            assert_eq!(here, prev, "frame {}: framebuffer reused", frame.index);
+        }
+        ptr = Some(here);
+        frames += 1;
+        session.recycle(frame.image);
+    }
+    assert_eq!(frames, 5);
+    assert_eq!(session.summary().framebuffer_allocations, 1);
+}
+
 /// With an accelerator attached, every frame carries a trace and a
 /// simulated report, and the stream summary aggregates them.
 #[test]
