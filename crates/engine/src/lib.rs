@@ -30,9 +30,11 @@
 //!   exposes the cross-session reconfigurations the shared accelerator
 //!   pays at scheduled-frame boundaries.
 //!
-//! Rendering goes through `Renderer::render_into`, the caller-owned-
-//! target entry point of `uni_renderers` — sessions are the canonical
-//! consumer of that API.
+//! Rendering goes through the caller-owned-target entry points of
+//! `uni_renderers`: with an accelerator attached, sessions and server
+//! lanes call `Renderer::render_traced`, which renders each frame once
+//! and traces it from that render's own work counts; image-only streams
+//! call `Renderer::render_into`.
 
 pub mod fleet;
 pub mod path;

@@ -25,7 +25,7 @@ impl FramePool {
     /// Takes a reusable render target: a pooled buffer when one is
     /// available, otherwise a fresh (counted) empty image. Contents and
     /// dimensions are *unspecified* — the consumer is expected to hand
-    /// the target to `Renderer::render_into`, whose resize-and-fill is
+    /// the target to `Renderer::render_into` (or `render_traced`), whose resize-and-fill is
     /// then the only full-frame write (acquiring does not touch pixels,
     /// so frames are never cleared twice).
     ///

@@ -14,7 +14,10 @@
 //! Each frame is rendered, traced, and replayed in one serial step on
 //! the calling thread. That keeps the session an independent reference:
 //! the server and fleet determinism suites compare served frames against
-//! it bit for bit.
+//! it bit for bit. With an accelerator attached the frame is rendered
+//! once, through `Renderer::render_traced`, and traced from that
+//! render's own work counts; without one, `Renderer::render_into`
+//! renders the image alone.
 
 use crate::path::CameraPath;
 use crate::pool::FramePool;
@@ -213,23 +216,26 @@ impl RenderSession {
         let index = self.cursor;
         self.cursor += 1;
         let camera = self.path.camera(index);
-        // `render_into` resizes and overwrites the target, so the
+        // Rendering resizes and overwrites the target, so the
         // acquired buffer arrives untouched (one full-frame fill per
         // frame, not two). `acquire_for` also counts the reallocation a
         // mid-stream resolution growth is about to pay.
         let mut image = self.pool.acquire_for(camera.width, camera.height);
-        self.renderer.render_into(&self.scene, &camera, &mut image);
 
         let mut trace_out = None;
         let mut sim_out = None;
         let mut boundary = false;
         if let Some(accel) = &self.accel {
-            let trace = self.renderer.trace(&self.scene, &camera);
+            let trace = self
+                .renderer
+                .render_traced(&self.scene, &camera, &mut image);
             let sim = accel.simulate_with_scratch(&trace, &mut self.replay);
             let cfg = *accel.config();
             boundary = self.account_frame(&cfg, &trace, &sim);
             trace_out = Some(trace);
             sim_out = Some(sim);
+        } else {
+            self.renderer.render_into(&self.scene, &camera, &mut image);
         }
         self.frames_done += 1;
         Some(FrameReport {
@@ -301,10 +307,11 @@ impl RenderSession {
         }
     }
 
-    /// Batch replay: traces *every* frame of the path and simulates the
-    /// whole batch through [`Accelerator::simulate_many`] (parallel
-    /// workers, one [`ReplayScratch`] per worker). Independent of the
-    /// streaming cursor. Returns `None` without an accelerator.
+    /// Batch replay: traces *every* frame of the path (one-shot
+    /// `Renderer::trace`, no images) and simulates the whole batch
+    /// through [`Accelerator::simulate_many`] (parallel workers, one
+    /// [`ReplayScratch`] per worker). Independent of the streaming
+    /// cursor. Returns `None` without an accelerator.
     pub fn replay_path(&self) -> Option<Vec<SimReport>> {
         let accel = self.accel.as_ref()?;
         let traces: Vec<Trace> = self

@@ -823,22 +823,18 @@ impl GaussianPipeline {
         }
         img
     }
-}
 
-impl Renderer for GaussianPipeline {
-    fn pipeline(&self) -> Pipeline {
-        Pipeline::Gaussian3d
-    }
-
-    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
-    }
-
-    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let stats = crate::scratch::with_probe_target(|img| {
-            self.render_internal(scene, &probe.camera, img)
-        });
+    /// The pipeline's one trace builder: turns a render's splat counts
+    /// into the frame's micro-operator trace. `probe` scales the
+    /// resolution-proportional counts from the rendered camera up to
+    /// `camera` (identity for [`Renderer::render_traced`]).
+    fn trace_from(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        stats: &SplatStats,
+        probe: &Probe,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::Gaussian3d, camera.width, camera.height);
 
         let repr = &scene.spec().repr;
@@ -902,6 +898,27 @@ impl Renderer for GaussianPipeline {
             },
         ));
         trace
+    }
+}
+
+impl Renderer for GaussianPipeline {
+    fn pipeline(&self) -> Pipeline {
+        Pipeline::Gaussian3d
+    }
+
+    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
+        self.render_internal(scene, camera, target);
+    }
+
+    fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        let stats = self.render_internal(scene, camera, target);
+        self.trace_from(scene, camera, &stats, &Probe::exact(camera))
+    }
+
+    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
+        let probe = Probe::plan(camera);
+        let stats = self.render_internal(scene, &probe.camera, &mut Image::empty());
+        self.trace_from(scene, camera, &stats, &probe)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::blending::RayAccumulator;
 use crate::probe::Probe;
-use crate::Renderer;
+use crate::{emit_hash_decoder, Renderer};
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
 use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
@@ -192,22 +192,18 @@ impl HashGridPipeline {
         }
         img
     }
-}
 
-impl Renderer for HashGridPipeline {
-    fn pipeline(&self) -> Pipeline {
-        Pipeline::HashGrid
-    }
-
-    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
-    }
-
-    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let stats = crate::scratch::with_probe_target(|img| {
-            self.render_internal(scene, &probe.camera, img)
-        });
+    /// The pipeline's one trace builder: turns a render's sample counts
+    /// into the frame's micro-operator trace. `probe` scales the
+    /// resolution-proportional counts from the rendered camera up to
+    /// `camera` (identity for [`Renderer::render_traced`]).
+    fn trace_from(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        stats: &HashStats,
+        probe: &Probe,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::HashGrid, camera.width, camera.height);
 
         let repr = &scene.spec().repr;
@@ -255,20 +251,12 @@ impl Renderer for HashGridPipeline {
         ));
 
         // (3) Decoder MLP at full feature width on the same samples.
-        let in_dim = repr.hash.feature_dim();
-        let layer_dims: [(u32, u32); 3] = [(in_dim, 64), (64, 64), (64, 4)];
-        for (i, (ind, outd)) in layer_dims.into_iter().enumerate() {
-            let params = u64::from(ind) * u64::from(outd) + u64::from(outd);
-            trace.push(Invocation::new(
-                format!("decoder layer {i}"),
-                Workload::Gemm {
-                    batch: fetched.max(1),
-                    in_dim: ind,
-                    out_dim: outd,
-                    weight_bytes: params * 2,
-                },
-            ));
-        }
+        emit_hash_decoder(
+            &mut trace,
+            "decoder",
+            repr.hash.feature_dim(),
+            fetched.max(1),
+        );
 
         // (4) Blending.
         trace.push(
@@ -284,6 +272,27 @@ impl Renderer for HashGridPipeline {
             .with_sfu_ops(fetched.max(1)),
         );
         trace
+    }
+}
+
+impl Renderer for HashGridPipeline {
+    fn pipeline(&self) -> Pipeline {
+        Pipeline::HashGrid
+    }
+
+    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
+        self.render_internal(scene, camera, target);
+    }
+
+    fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        let stats = self.render_internal(scene, camera, target);
+        self.trace_from(scene, camera, &stats, &Probe::exact(camera))
+    }
+
+    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
+        let probe = Probe::plan(camera);
+        let stats = self.render_internal(scene, &probe.camera, &mut Image::empty());
+        self.trace_from(scene, camera, &stats, &probe)
     }
 }
 

@@ -8,12 +8,15 @@
 //! the pipeline that crosses the most micro-operator families per frame —
 //! the stress test for the accelerator's reconfigurability.
 
-use crate::mesh_pipeline::{rasterize, rasterize_scalar, PixelHitPublic};
+use crate::mesh_pipeline::{
+    push_raster_stages, rasterize_and_shade, rasterize_into, rasterize_scalar, PixelHitPublic,
+    RasterStats,
+};
 use crate::probe::Probe;
-use crate::Renderer;
+use crate::{emit_hash_decoder, Renderer};
 use uni_geometry::{Camera, Image, Rgb};
-use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, PrimitiveKind, Trace, Workload};
-use uni_scene::{BakedScene, TriangleMesh, PEAK_DENSITY};
+use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
+use uni_scene::{BakedScene, PEAK_DENSITY};
 
 /// The hybrid mesh + hash-grid pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,72 +82,34 @@ impl MixRtPipeline {
         });
         img
     }
-}
 
-impl Renderer for MixRtPipeline {
-    fn pipeline(&self) -> Pipeline {
-        Pipeline::HybridMixRt
+    /// Rasterizes and surface-shades one frame through this thread's
+    /// raster scratch, returning the rasterizer's work counts.
+    fn render_internal(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> RasterStats {
+        rasterize_and_shade(scene, camera, target, |hits, y0, chunk, rs| {
+            self.shade_rows(scene, camera, hits, y0, chunk, rs);
+        })
     }
 
-    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        let bg = scene.field().background();
-        target.resize(camera.width, camera.height, bg);
-        let width = camera.width as usize;
-        let band_rows = crate::scratch::BAND_ROWS;
-        crate::scratch::with_raster_scratch(|raster| {
-            crate::mesh_pipeline::rasterize_into(scene.mesh(), camera, raster);
-            let hits = &raster.zbuf;
-            uni_parallel::par_bands(
-                target.pixels_mut(),
-                band_rows as usize * width,
-                |band, chunk| {
-                    crate::scratch::with_ray_scratch(|rs| {
-                        self.shade_rows(scene, camera, hits, band as u32 * band_rows, chunk, rs);
-                    });
-                },
-            );
-        });
-    }
-
-    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let (_, stats) = {
-            let (hits, stats) = rasterize(scene.mesh(), &probe.camera);
-            (hits, stats)
-        };
+    /// The pipeline's one trace builder: turns a rasterization's counts
+    /// into the frame's micro-operator trace. `probe` scales the
+    /// resolution-proportional counts from the rasterized camera up to
+    /// `camera` (identity for [`Renderer::render_traced`]).
+    fn trace_from(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        stats: &RasterStats,
+        probe: &Probe,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::HybridMixRt, camera.width, camera.height);
-
+        let covered = push_raster_stages(&mut trace, scene, camera, stats, probe);
         let repr = &scene.spec().repr;
-        let full_tris = u64::from(repr.target_triangles);
-        let baked_tris = scene.mesh().triangle_count().max(1) as u64;
-        let tri_ratio = full_tris as f64 / baked_tris as f64;
-        let verts = (stats.vertices_projected as f64 * tri_ratio) as u64;
-        let streamed = (stats.triangles_streamed as f64 * tri_ratio) as u64;
-        let covered = probe.scale(stats.covered_pixels);
-
-        // (1) Space conversion.
-        trace.push(Invocation::new(
-            "space conversion",
-            Workload::Gemm {
-                batch: verts,
-                in_dim: 4,
-                out_dim: 4,
-                weight_bytes: 32,
-            },
-        ));
-
-        // (2) Rasterization.
-        trace.push(Invocation::new(
-            "rasterization",
-            Workload::Geometric {
-                kind: PrimitiveKind::Triangle,
-                primitives: streamed,
-                candidate_pairs: probe.scale(stats.candidate_pairs),
-                hits: probe.scale(stats.zbuffer_updates),
-                prim_bytes: TriangleMesh::BYTES_PER_TRIANGLE,
-                output_pixels: camera.pixel_count(),
-            },
-        ));
 
         // (3) One hash fetch per covered pixel (MixRT stores a reduced
         // color field — half the full hash budget, since surface shading
@@ -164,21 +129,36 @@ impl Renderer for MixRtPipeline {
         ));
 
         // (4) Decoder MLP per covered pixel.
-        let in_dim = repr.hash.feature_dim();
-        let layer_dims: [(u32, u32); 3] = [(in_dim, 64), (64, 64), (64, 4)];
-        for (i, (ind, outd)) in layer_dims.into_iter().enumerate() {
-            let params = u64::from(ind) * u64::from(outd) + u64::from(outd);
-            trace.push(Invocation::new(
-                format!("surface decoder layer {i}"),
-                Workload::Gemm {
-                    batch: covered.max(1),
-                    in_dim: ind,
-                    out_dim: outd,
-                    weight_bytes: params * 2,
-                },
-            ));
-        }
+        emit_hash_decoder(
+            &mut trace,
+            "surface decoder",
+            repr.hash.feature_dim(),
+            covered.max(1),
+        );
         trace
+    }
+}
+
+impl Renderer for MixRtPipeline {
+    fn pipeline(&self) -> Pipeline {
+        Pipeline::HybridMixRt
+    }
+
+    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
+        self.render_internal(scene, camera, target);
+    }
+
+    fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        let stats = self.render_internal(scene, camera, target);
+        self.trace_from(scene, camera, &stats, &Probe::exact(camera))
+    }
+
+    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
+        let probe = Probe::plan(camera);
+        let stats = crate::scratch::with_raster_scratch(|rs| {
+            rasterize_into(scene.mesh(), &probe.camera, rs)
+        });
+        self.trace_from(scene, camera, &stats, &probe)
     }
 }
 

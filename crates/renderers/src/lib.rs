@@ -15,7 +15,7 @@
 //! Every pipeline implements [`Renderer`]: it can `render` an image *and*
 //! `trace` the frame's decomposition into the five common micro-operators of
 //! Sec. IV — the trace drives the Uni-Render accelerator simulator and
-//! every baseline device model.
+//! every baseline device model. `render_traced` does both from one render.
 
 pub mod blending;
 pub mod gaussian_pipeline;
@@ -49,6 +49,14 @@ use uni_scene::BakedScene;
 /// `uni-engine` sessions, the benches) therefore allocate one framebuffer
 /// up front and render every subsequent frame allocation-free.
 /// [`Renderer::render`] is a convenience wrapper for one-shot callers.
+///
+/// A frame's trace is a decomposition of *that* frame: every render
+/// counts its own work (rays, samples, splat pairs, raster coverage), and
+/// one trace builder per pipeline turns those counts into micro-operator
+/// invocations. Streamed frames call [`Renderer::render_traced`], which
+/// renders once and traces from the frame's own counts. One-shot callers
+/// that want only the trace call [`Renderer::trace`], which gathers the
+/// counts from a capped-resolution [`probe`] render instead.
 pub trait Renderer {
     /// Which pipeline family this renderer implements.
     fn pipeline(&self) -> Pipeline;
@@ -67,7 +75,18 @@ pub trait Renderer {
         img
     }
 
-    /// Decomposes one frame into its micro-operator trace (Sec. IV).
+    /// Renders one frame into `target` exactly like
+    /// [`Renderer::render_into`] and returns its micro-operator trace
+    /// (Sec. IV), built from the work counts of this very render.
+    ///
+    /// The frame is rendered once; the counts are exact at any
+    /// resolution. At or below [`probe::MAX_PROBE_AXIS`] pixels the
+    /// result equals [`Renderer::trace`] for the same camera.
+    fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace;
+
+    /// Decomposes one frame into its micro-operator trace (Sec. IV)
+    /// without producing the image — for figure harnesses and batch
+    /// replay.
     ///
     /// Workload counts are gathered by rendering at a capped probe
     /// resolution and scaling resolution-dependent quantities — see
@@ -122,6 +141,26 @@ pub(crate) fn emit_mlp_layers(
             inv = inv.with_sfu_ops(sfu);
         }
         trace.push(inv);
+    }
+}
+
+/// Emits the hash-grid decoder MLP at full feature width (`in_dim` → 64
+/// → 64 → 4, BF16 weights) as one GEMM invocation per layer over `batch`
+/// rows — shared by the hash-grid and MixRT pipelines.
+pub(crate) fn emit_hash_decoder(trace: &mut Trace, stage: &str, in_dim: u32, batch: u64) {
+    use uni_microops::{Invocation, Workload};
+    let layer_dims: [(u32, u32); 3] = [(in_dim, 64), (64, 64), (64, 4)];
+    for (i, (ind, outd)) in layer_dims.into_iter().enumerate() {
+        let params = u64::from(ind) * u64::from(outd) + u64::from(outd);
+        trace.push(Invocation::new(
+            format!("{stage} layer {i}"),
+            Workload::Gemm {
+                batch,
+                in_dim: ind,
+                out_dim: outd,
+                weight_bytes: params * 2,
+            },
+        ));
     }
 }
 

@@ -126,21 +126,10 @@ fn rasterize_rows(
 }
 
 /// Rasterizes the mesh into a per-pixel hit buffer with exact work
-/// counts, processing bands of rows in parallel. Allocates fresh
-/// buffers; the frame paths reuse a [`crate::scratch::RasterScratch`]
-/// through [`rasterize_into`] instead.
-pub(crate) fn rasterize(
-    mesh: &TriangleMesh,
-    camera: &Camera,
-) -> (Vec<Option<PixelHitPublic>>, RasterStats) {
-    let mut rs = crate::scratch::RasterScratch::default();
-    let stats = rasterize_into(mesh, camera, &mut rs);
-    (rs.zbuf, stats)
-}
-
-/// [`rasterize`] into caller-owned buffers: `rs.zbuf` holds the hit
-/// buffer on return, and both it and the projected-vertex cache reuse
-/// their capacity across frames.
+/// counts, processing bands of rows in parallel. Writes into
+/// caller-owned buffers: `rs.zbuf` holds the hit buffer on return, and
+/// both it and the projected-vertex cache reuse their capacity across
+/// frames.
 pub(crate) fn rasterize_into(
     mesh: &TriangleMesh,
     camera: &Camera,
@@ -192,6 +181,84 @@ pub(crate) fn rasterize_scalar(
     let mut stats = rasterize_rows(mesh, &projected, w, h, 0, &mut zbuf);
     stats.vertices_projected = mesh.vertex_count() as u64;
     (zbuf, stats)
+}
+
+/// The frame path of every rasterizing pipeline (mesh, MixRT): rasterizes
+/// the mesh through this thread's raster scratch, then shades the hit
+/// buffer in parallel bands — `shade_rows(hits, y0, rows, ray_scratch)`
+/// fills the whole rows starting at `y0`. Returns the rasterizer's work
+/// counts.
+pub(crate) fn rasterize_and_shade(
+    scene: &BakedScene,
+    camera: &Camera,
+    target: &mut Image,
+    shade_rows: impl Fn(&[Option<PixelHitPublic>], u32, &mut [Rgb], &mut crate::scratch::RayScratch)
+        + Sync,
+) -> RasterStats {
+    target.resize(camera.width, camera.height, scene.field().background());
+    let band_rows = crate::scratch::BAND_ROWS;
+    crate::scratch::with_raster_scratch(|raster| {
+        let stats = rasterize_into(scene.mesh(), camera, raster);
+        let hits = &raster.zbuf;
+        uni_parallel::par_bands(
+            target.pixels_mut(),
+            band_rows as usize * camera.width as usize,
+            |band, chunk| {
+                crate::scratch::with_ray_scratch(|rs| {
+                    shade_rows(hits, band as u32 * band_rows, chunk, rs);
+                });
+            },
+        );
+        stats
+    })
+}
+
+/// Emits the geometry stages every rasterizing pipeline (mesh, MixRT)
+/// opens its trace with: (1) space conversion and (2) rasterization.
+/// Returns the covered-pixel count scaled to `camera` — the batch of the
+/// per-pixel stages that follow.
+pub(crate) fn push_raster_stages(
+    trace: &mut Trace,
+    scene: &BakedScene,
+    camera: &Camera,
+    stats: &RasterStats,
+    probe: &Probe,
+) -> u64 {
+    // Full-scale workload constants come from the spec (the baked
+    // representation may be detail-scaled for tests); coverage ratios
+    // come from the rasterization.
+    let full_tris = u64::from(scene.spec().repr.target_triangles);
+    let baked_tris = scene.mesh().triangle_count().max(1) as u64;
+    let tri_ratio = full_tris as f64 / baked_tris as f64;
+    let verts = (stats.vertices_projected as f64 * tri_ratio) as u64;
+    let streamed = (stats.triangles_streamed as f64 * tri_ratio) as u64;
+
+    // (1) Space conversion: 4×4 view-projection per vertex (GEMM).
+    trace.push(Invocation::new(
+        "space conversion",
+        Workload::Gemm {
+            batch: verts,
+            in_dim: 4,
+            out_dim: 4,
+            weight_bytes: 32,
+        },
+    ));
+
+    // (2) Rasterization (Geometric Processing). Candidate pairs are
+    // resolution-driven (bounding-box coverage), not triangle-count
+    // driven, so a probe measurement scales by pixels only.
+    trace.push(Invocation::new(
+        "rasterization",
+        Workload::Geometric {
+            kind: PrimitiveKind::Triangle,
+            primitives: streamed,
+            candidate_pairs: probe.scale(stats.candidate_pairs),
+            hits: probe.scale(stats.zbuffer_updates),
+            prim_bytes: TriangleMesh::BYTES_PER_TRIANGLE,
+            output_pixels: camera.pixel_count(),
+        },
+    ));
+    probe.scale(stats.covered_pixels)
 }
 
 /// A rasterization hit exposed to sibling pipelines (the hybrid pipeline
@@ -253,28 +320,6 @@ impl MeshPipeline {
         }
     }
 
-    fn shade_into(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        hits: &[Option<PixelHitPublic>],
-        target: &mut Image,
-    ) {
-        let bg = scene.field().background();
-        target.resize(camera.width, camera.height, bg);
-        let width = camera.width as usize;
-        let band_rows = crate::scratch::BAND_ROWS;
-        uni_parallel::par_bands(
-            target.pixels_mut(),
-            band_rows as usize * width,
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.shade_rows(scene, camera, hits, band as u32 * band_rows, chunk, rs);
-                });
-            },
-        );
-    }
-
     /// Single-threaded whole-frame reference path (parity/bench baseline).
     pub fn render_scalar(&self, scene: &BakedScene, camera: &Camera) -> Image {
         let (hits, _) = rasterize_scalar(scene.mesh(), camera);
@@ -284,65 +329,38 @@ impl MeshPipeline {
         });
         img
     }
-}
 
-impl Renderer for MeshPipeline {
-    fn pipeline(&self) -> Pipeline {
-        Pipeline::Mesh
+    /// Rasterizes and deferred-shades one frame through this thread's
+    /// raster scratch, returning the rasterizer's work counts.
+    fn render_internal(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> RasterStats {
+        rasterize_and_shade(scene, camera, target, |hits, y0, chunk, rs| {
+            self.shade_rows(scene, camera, hits, y0, chunk, rs);
+        })
     }
 
-    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        crate::scratch::with_raster_scratch(|rs| {
-            rasterize_into(scene.mesh(), camera, rs);
-            self.shade_into(scene, camera, &rs.zbuf, target);
-        });
-    }
-
-    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let (_, stats) = rasterize(scene.mesh(), &probe.camera);
+    /// The pipeline's one trace builder: turns a rasterization's counts
+    /// into the frame's micro-operator trace. `probe` scales the
+    /// resolution-proportional counts from the rasterized camera up to
+    /// `camera` (identity for [`Renderer::render_traced`]).
+    fn trace_from(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        stats: &RasterStats,
+        probe: &Probe,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::Mesh, camera.width, camera.height);
-
-        // Full-scale workload constants come from the spec (the baked
-        // representation may be detail-scaled for tests); coverage ratios
-        // come from the probe rasterization.
-        let repr = &scene.spec().repr;
-        let full_tris = u64::from(repr.target_triangles);
-        let baked_tris = scene.mesh().triangle_count().max(1) as u64;
-        let tri_ratio = full_tris as f64 / baked_tris as f64;
-        let verts = (stats.vertices_projected as f64 * tri_ratio) as u64;
-        let streamed = (stats.triangles_streamed as f64 * tri_ratio) as u64;
-
-        // (1) Space conversion: 4×4 view-projection per vertex (GEMM).
-        trace.push(Invocation::new(
-            "space conversion",
-            Workload::Gemm {
-                batch: verts,
-                in_dim: 4,
-                out_dim: 4,
-                weight_bytes: 32,
-            },
-        ));
-
-        // (2) Rasterization (Geometric Processing). Candidate pairs are
-        // resolution-driven (bounding-box coverage), not triangle-count
-        // driven, so the probe measurement scales by pixels only.
-        trace.push(Invocation::new(
-            "rasterization",
-            Workload::Geometric {
-                kind: PrimitiveKind::Triangle,
-                primitives: streamed,
-                candidate_pairs: probe.scale(stats.candidate_pairs),
-                hits: probe.scale(stats.zbuffer_updates),
-                prim_bytes: TriangleMesh::BYTES_PER_TRIANGLE,
-                output_pixels: camera.pixel_count(),
-            },
-        ));
+        let covered = push_raster_stages(&mut trace, scene, camera, stats, probe);
 
         // (3) Texture indexing (Combined Grid Indexing, bilinear).
         // MobileNeRF-style bakes fetch *two* deferred-feature textures per
         // pixel from a multi-slab atlas (3 slabs counted in the table).
-        let covered = probe.scale(stats.covered_pixels);
+        let repr = &scene.spec().repr;
         let texture_bytes =
             u64::from(repr.texture_resolution).pow(2) * u64::from(repr.texture_channels) * 3;
         trace.push(Invocation::new(
@@ -362,6 +380,29 @@ impl Renderer for MeshPipeline {
         // (4) Deferred shading MLP per covered pixel.
         emit_mlp_layers(&mut trace, "shading mlp", scene.deferred_mlp(), covered, 0);
         trace
+    }
+}
+
+impl Renderer for MeshPipeline {
+    fn pipeline(&self) -> Pipeline {
+        Pipeline::Mesh
+    }
+
+    fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
+        self.render_internal(scene, camera, target);
+    }
+
+    fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        let stats = self.render_internal(scene, camera, target);
+        self.trace_from(scene, camera, &stats, &Probe::exact(camera))
+    }
+
+    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
+        let probe = Probe::plan(camera);
+        let stats = crate::scratch::with_raster_scratch(|rs| {
+            rasterize_into(scene.mesh(), &probe.camera, rs)
+        });
+        self.trace_from(scene, camera, &stats, &probe)
     }
 }
 
@@ -391,10 +432,11 @@ mod tests {
     fn raster_stats_count_consistently() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 96, 64);
-        let (hits, stats) = rasterize(scene.mesh(), &camera);
+        let mut rs = crate::scratch::RasterScratch::default();
+        let stats = rasterize_into(scene.mesh(), &camera, &mut rs);
         assert_eq!(
             stats.covered_pixels,
-            hits.iter().filter(|h| h.is_some()).count() as u64
+            rs.zbuf.iter().filter(|h| h.is_some()).count() as u64
         );
         assert!(stats.candidate_pairs >= stats.zbuffer_updates);
         assert!(stats.zbuffer_updates >= stats.covered_pixels);
@@ -405,8 +447,9 @@ mod tests {
     fn zbuffer_keeps_nearest_surface() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 64, 48);
-        let (hits, _) = rasterize(scene.mesh(), &camera);
-        for hit in hits.into_iter().flatten() {
+        let mut rs = crate::scratch::RasterScratch::default();
+        rasterize_into(scene.mesh(), &camera, &mut rs);
+        for hit in rs.zbuf.into_iter().flatten() {
             assert!(hit.depth > 0.0, "depths are positive view distances");
         }
     }

@@ -1,11 +1,37 @@
-//! Probe-resolution workload estimation.
+//! Probe-resolution workload estimation for one-shot traces.
 //!
-//! Frame traces must describe the full benchmark resolution (1280×720 for
-//! Unbounded-360), but gathering counts by rendering every pixel would make
-//! trace generation as expensive as rendering. Instead each pipeline
-//! renders at a capped *probe* resolution, counts its work exactly, and
-//! scales the resolution-proportional quantities by the pixel ratio —
-//! per-primitive quantities (vertex projection, splat setup) stay exact.
+//! [`Renderer::trace`](crate::Renderer::trace) describes a frame without
+//! producing its image — figure harnesses trace the full benchmark
+//! resolution (1280×720 for Unbounded-360), where rendering every pixel
+//! just to count work would cost as much as the render. Instead each
+//! pipeline renders at a capped *probe* resolution, counts its work
+//! exactly, and scales the resolution-proportional quantities by the
+//! pixel ratio — per-primitive quantities (vertex projection, splat setup)
+//! stay exact.
+//!
+//! Streamed frames never probe: [`Renderer::render_traced`](crate::Renderer::render_traced)
+//! traces each frame from the counts of its own render, through the same
+//! trace builder with [`Probe::exact`] (pixel scale 1). At or below
+//! [`MAX_PROBE_AXIS`] the probe *is* the frame, so both traces are equal.
+//!
+//! Above the cap the probe is an estimate, and the frame's own counts are
+//! the more exact figure. Measured as `(probe - exact) / exact` in
+//! `total_cost().total_ops()` on the parity test scene (`tests/render_parity.rs`),
+//! the gap at 256² / 512² is:
+//!
+//! | Pipeline | 256² | 512² | Bound asserted |
+//! |---|---|---|---|
+//! | gaussian | +24.2% | +131.8% | ±140% |
+//! | mesh | +4.8% | +16.6% | ±20% |
+//! | MixRT | +0.28% | +1.17% | ±2% |
+//! | hash grid | +0.16% | −0.17% | ±0.5% |
+//! | MLP | −0.03% | −0.03% | ±0.5% |
+//! | low-rank | 0.00% | 0.00% | ±0.5% |
+//!
+//! The raster and splat pipelines overestimate: every triangle bounding
+//! box and splat footprint rounds up to whole pixels and 16-pixel
+//! patches, that per-primitive margin is a larger share of a small probe,
+//! and scaling by the pixel ratio multiplies it.
 
 use uni_geometry::Camera;
 
@@ -24,14 +50,20 @@ pub struct Probe {
 }
 
 impl Probe {
+    /// The frame itself: counts come from a full-resolution render and
+    /// need no scaling.
+    pub fn exact(camera: &Camera) -> Self {
+        Self {
+            camera: *camera,
+            pixel_scale: 1.0,
+        }
+    }
+
     /// Plans a probe for `camera`, preserving aspect ratio.
     pub fn plan(camera: &Camera) -> Self {
         let long_axis = camera.width.max(camera.height);
         if long_axis <= MAX_PROBE_AXIS {
-            return Self {
-                camera: *camera,
-                pixel_scale: 1.0,
-            };
+            return Self::exact(camera);
         }
         let shrink = long_axis as f64 / MAX_PROBE_AXIS as f64;
         let w = ((camera.width as f64 / shrink).round() as u32).max(8);

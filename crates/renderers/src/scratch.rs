@@ -51,8 +51,6 @@ pub(crate) struct RasterScratch {
 thread_local! {
     static RAY: RefCell<RayScratch> = RefCell::new(RayScratch::default());
     static RASTER: RefCell<RasterScratch> = RefCell::new(RasterScratch::default());
-    static PROBE_TARGET: RefCell<uni_geometry::Image> =
-        RefCell::new(uni_geometry::Image::empty());
 }
 
 /// Runs `f` with this thread's ray scratch.
@@ -63,12 +61,4 @@ pub(crate) fn with_ray_scratch<R>(f: impl FnOnce(&mut RayScratch) -> R) -> R {
 /// Runs `f` with this thread's rasterization scratch.
 pub(crate) fn with_raster_scratch<R>(f: impl FnOnce(&mut RasterScratch) -> R) -> R {
     RASTER.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// Runs `f` with this thread's reusable probe render target. `trace`
-/// implementations render their workload probe into it, so per-frame
-/// tracing (frame streams trace every frame) allocates no framebuffer
-/// in steady state.
-pub(crate) fn with_probe_target<R>(f: impl FnOnce(&mut uni_geometry::Image) -> R) -> R {
-    PROBE_TARGET.with(|cell| f(&mut cell.borrow_mut()))
 }

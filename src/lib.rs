@@ -26,9 +26,12 @@
 //! baked scene, a renderer, a reusable framebuffer pool, and a camera
 //! path, and yields one [`engine::FrameReport`] per frame — the rendered
 //! image plus the frame's micro-operator trace and simulated accelerator
-//! report. Recycling each frame's buffer keeps the stream allocation-free
-//! after the first frame; the end-of-stream summary reports throughput
-//! and the reconfigurations amortized across frame boundaries.
+//! report. Each frame is rendered once: `Renderer::render_traced` writes
+//! the image and traces it from that render's own work counts, in the
+//! session and in every [`engine::RenderServer`] lane alike. Recycling
+//! each frame's buffer keeps the stream allocation-free after the first
+//! frame; the end-of-stream summary reports throughput and the
+//! reconfigurations amortized across frame boundaries.
 //!
 //! ```
 //! use uni_render::prelude::*;
@@ -54,8 +57,10 @@
 //! ```
 //!
 //! One-shot rendering is still available: `renderer.render(&scene,
-//! &camera)` allocates a frame, and `renderer.render_into(&scene,
-//! &camera, &mut image)` writes into a caller-owned target.
+//! &camera)` allocates a frame, `renderer.render_into(&scene, &camera,
+//! &mut image)` writes into a caller-owned target, and
+//! `renderer.trace(&scene, &camera)` traces a frame without its image
+//! (from a capped probe render above 192 px; see [`renderers::probe`]).
 
 pub use uni_baselines as baselines;
 pub use uni_core as accel;

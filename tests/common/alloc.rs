@@ -8,7 +8,29 @@
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    // Const-initialized and drop-free, so touching them from inside the
+    // allocator never allocates or registers a destructor.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocation events on the calling thread since it started. Unlike the
+/// process-wide meters it ignores other threads — such as the test
+/// harness spawning the next test or printing a slow-test notice — so
+/// single-worker measurements of one thread's frames stay exact.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes requested by the calling thread since it started (never
+/// decremented); see [`thread_allocations`].
+pub fn thread_bytes_allocated() -> u64 {
+    THREAD_BYTES.with(Cell::get)
+}
 
 /// Forwards to the system allocator while counting every allocation
 /// (including `realloc` growths and zeroed allocations) process-wide,
@@ -40,6 +62,9 @@ impl CountingAlloc {
     fn record(&self, size: usize) {
         self.allocations.fetch_add(1, Ordering::SeqCst);
         self.bytes.fetch_add(size as u64, Ordering::SeqCst);
+        // `try_with`: the slots are gone while the thread is torn down.
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + size as u64));
     }
 }
 

@@ -3,8 +3,10 @@
 //! seed-era scalar reference within 1e-5 per channel for all six
 //! pipelines, the reusable-target entry point `render_into` must be
 //! bit-identical to `render` (it *is* the same path, writing into a
-//! caller-owned buffer), and the global counting sort must order
-//! (tile, depth) pairs exactly like the comparison sort it replaced.
+//! caller-owned buffer), `render_traced` must write the same pixels and
+//! trace the frame exactly like `trace()` up to the probe cap, and the
+//! global counting sort must order (tile, depth) pairs exactly like the
+//! comparison sort it replaced.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -21,6 +23,18 @@ fn scene() -> &'static BakedScene {
 
 fn camera() -> Camera {
     scene().orbit().camera_at(0.8).with_resolution(96, 72)
+}
+
+/// The six pipelines, named.
+fn all_pipelines() -> Vec<(Box<dyn Renderer>, &'static str)> {
+    vec![
+        (Box::new(MeshPipeline::default()), "mesh"),
+        (Box::new(MlpPipeline::default()), "mlp"),
+        (Box::new(LowRankPipeline::default()), "lowrank"),
+        (Box::new(HashGridPipeline::default()), "hashgrid"),
+        (Box::new(GaussianPipeline::default()), "gaussian"),
+        (Box::new(MixRtPipeline::default()), "mixrt"),
+    ]
 }
 
 #[track_caller]
@@ -104,14 +118,7 @@ fn hybrid_band_path_matches_scalar() {
 /// the seed-era scalar reference.
 #[test]
 fn render_into_matches_render_and_scalar_for_all_pipelines() {
-    let renderers: Vec<(Box<dyn Renderer>, &str)> = vec![
-        (Box::new(MeshPipeline::default()), "mesh"),
-        (Box::new(MlpPipeline::default()), "mlp"),
-        (Box::new(LowRankPipeline::default()), "lowrank"),
-        (Box::new(HashGridPipeline::default()), "hashgrid"),
-        (Box::new(GaussianPipeline::default()), "gaussian"),
-        (Box::new(MixRtPipeline::default()), "hybrid"),
-    ];
+    let renderers = all_pipelines();
     // One shared target across all pipelines: render_into must fully
     // overwrite whatever the previous pipeline left behind.
     let mut target = Image::new(8, 8, Rgb::WHITE);
@@ -249,5 +256,67 @@ proptest! {
         let second: Vec<u32> = again.iter().map(|v| v.to_bits()).collect();
         // Bit-stability across repeated runs of the wide kernel.
         prop_assert_eq!(first, second);
+    }
+}
+
+/// At or below the probe cap the probe *is* the frame: `render_traced`
+/// writes exactly the pixels of `render_into` and returns a trace equal
+/// to the one-shot `trace()`, for every pipeline.
+#[test]
+fn render_traced_matches_render_into_and_trace_up_to_the_probe_cap() {
+    let mut traced = Image::empty();
+    let mut plain = Image::empty();
+    for (w, h) in [(64, 48), (96, 96), (192, 128)] {
+        let camera = scene().orbit().camera_at(0.8).with_resolution(w, h);
+        for (renderer, name) in &all_pipelines() {
+            let trace = renderer.render_traced(scene(), &camera, &mut traced);
+            renderer.render_into(scene(), &camera, &mut plain);
+            assert_eq!(
+                traced.pixels(),
+                plain.pixels(),
+                "{name} {w}x{h}: render_traced must write render_into's pixels"
+            );
+            assert_eq!(
+                trace,
+                renderer.trace(scene(), &camera),
+                "{name} {w}x{h}: the frame's own trace must equal trace()"
+            );
+        }
+    }
+}
+
+/// Above the probe cap, one-shot `trace()` estimates the frame from a
+/// probe render while `render_traced` counts the frame itself. The
+/// relative gap in total arithmetic ops, `(probe - exact) / exact`, at
+/// 256² and 512² stays within the per-pipeline bounds documented in
+/// `uni_renderers::probe`. Release only: a 512² MLP frame takes minutes
+/// in a debug build.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "renders 512x512 volume frames; run with --release"
+)]
+fn probe_trace_gap_above_the_cap_stays_within_the_documented_bound() {
+    let mut target = Image::empty();
+    for side in [256, 512] {
+        let camera = scene().orbit().camera_at(0.8).with_resolution(side, side);
+        for (renderer, name) in &all_pipelines() {
+            let exact = renderer
+                .render_traced(scene(), &camera, &mut target)
+                .total_cost()
+                .total_ops() as f64;
+            let probed = renderer.trace(scene(), &camera).total_cost().total_ops() as f64;
+            let gap = (probed - exact) / exact;
+            let bound = match *name {
+                "gaussian" => 1.4,
+                "mesh" => 0.2,
+                "mixrt" => 0.02,
+                _ => 0.005,
+            };
+            assert!(
+                gap.abs() <= bound,
+                "{name} {side}x{side}: probe trace off by {gap:+.4} of the exact ops, bound {bound}"
+            );
+        }
     }
 }
