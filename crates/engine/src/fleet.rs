@@ -16,8 +16,9 @@
 //! contract:
 //!
 //! 1. **Sharding is invisible.** Each session's delivered frames are
-//!    bit-identical to a standalone [`crate::RenderSession`] walking the
-//!    same path on the same scene, at any `UNI_RENDER_THREADS` — the
+//!    bit-identical to the shard's renderer drawing the same path on the
+//!    same scene through `Renderer::render_into`, at any
+//!    `UNI_RENDER_THREADS` — the
 //!    fleet only interleaves shard delivery (by a deterministic cyclic
 //!    cursor), it never alters what a shard delivers.
 //! 2. **Eviction is a schedule fact.** The cache evicts the resident

@@ -9,12 +9,12 @@
 //!   sweeps, pose lerps, explicit waypoints);
 //! - [`FramePool`] — reusable render targets with an allocation counter,
 //!   so steady-state streaming allocates nothing after the first frame;
-//! - [`RenderSession`] — owns a baked scene, a renderer, a framebuffer
-//!   pool, and a path; yields a [`FrameReport`] per frame (image +
-//!   micro-op trace + simulated [`uni_core::SimReport`]), reusing one
-//!   [`uni_core::ReplayScratch`] across the stream and counting the
-//!   reconfigurations amortized at frame boundaries
-//!   ([`StreamSummary`]);
+//! - [`RenderSession`] — one camera stream over a baked scene: a thin
+//!   view over a one-session, one-lane [`RenderServer`] that yields a
+//!   [`FrameReport`] per frame (image + micro-op trace + simulated
+//!   [`uni_core::SimReport`]) on the calling thread and summarizes the
+//!   stream, including the reconfigurations amortized at frame
+//!   boundaries, as a [`SessionStats`];
 //! - [`RenderServer`] — the multi-session serving layer: one immutable
 //!   `Arc`-shared baked scene, N concurrent camera streams
 //!   ([`SessionRequest`]s, pipelines mixing freely), frames scheduled
@@ -26,15 +26,15 @@
 //!   [closed](RenderServer::close) *mid-serve* at deterministic tick
 //!   boundaries. Delivery and accounting follow the deterministic
 //!   schedule order, so every served frame is bit-identical to the same
-//!   frame from a standalone session, while the [`ServerSummary`]
+//!   frame rendered directly by its renderer, while the [`ServerSummary`]
 //!   exposes the cross-session reconfigurations the shared accelerator
 //!   pays at scheduled-frame boundaries.
 //!
 //! Rendering goes through the caller-owned-target entry points of
-//! `uni_renderers`: with an accelerator attached, sessions and server
-//! lanes call `Renderer::render_traced`, which renders each frame once
-//! and traces it from that render's own work counts; image-only streams
-//! call `Renderer::render_into`.
+//! `uni_renderers`: with an accelerator attached, server lanes call
+//! `Renderer::render_traced`, which renders each frame once and traces
+//! it from that render's own work counts; image-only streams call
+//! `Renderer::render_into`.
 
 pub mod fleet;
 pub mod path;
@@ -59,7 +59,7 @@ pub use server::{
     AdmissionControl, AdmitDecision, DegradePolicy, RenderServer, ServedFrame, SessionRequest,
     DEFAULT_LOOKAHEAD,
 };
-pub use session::{FrameReport, RenderSession, StreamSummary};
+pub use session::{FrameReport, RenderSession};
 // The serving summaries live in `uni_microops::serve`; re-export them so
 // engine consumers get the whole serving surface from one crate.
 pub use uni_microops::{

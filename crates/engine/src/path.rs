@@ -1,6 +1,6 @@
 //! Camera paths: deterministic frame-indexed camera trajectories.
 //!
-//! A [`CameraPath`] is the *input stream* of a [`crate::RenderSession`]:
+//! A [`CameraPath`] is the *input stream* of a served session:
 //! a finite sequence of cameras a renderer walks frame by frame. Paths
 //! are defined analytically (orbit sweeps, pose lerps) or as explicit
 //! waypoint lists, so any frame can be produced by index without storing

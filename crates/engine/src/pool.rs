@@ -13,7 +13,6 @@ use uni_geometry::Image;
 pub struct FramePool {
     free: Vec<Image>,
     allocations: u64,
-    peak_pixels: usize,
 }
 
 impl FramePool {
@@ -22,39 +21,22 @@ impl FramePool {
         Self::default()
     }
 
-    /// Takes a reusable render target: a pooled buffer when one is
-    /// available, otherwise a fresh (counted) empty image. Contents and
-    /// dimensions are *unspecified* — the consumer is expected to hand
-    /// the target to `Renderer::render_into` (or `render_traced`), whose resize-and-fill is
-    /// then the only full-frame write (acquiring does not touch pixels,
-    /// so frames are never cleared twice).
+    /// Takes a reusable render target for a `width × height` frame: a
+    /// pooled buffer when one is available, otherwise a fresh (counted)
+    /// empty image. Contents and dimensions are *unspecified* — the
+    /// consumer hands the target to `Renderer::render_into` (or
+    /// `render_traced`), whose resize-and-fill is then the only
+    /// full-frame write (acquiring does not touch pixels, so frames are
+    /// never cleared twice).
     ///
-    /// When the upcoming frame's resolution is known, prefer
-    /// [`FramePool::acquire_for`], which also counts the reallocation a
-    /// too-small pooled buffer is about to pay.
-    pub fn acquire(&mut self) -> Image {
-        match self.free.pop() {
-            Some(img) => img,
-            None => {
-                self.allocations += 1;
-                Image::empty()
-            }
-        }
-    }
-
-    /// Takes a reusable render target for a `width × height` frame.
-    ///
-    /// Identical to [`FramePool::acquire`] except that a pooled buffer
-    /// whose capacity cannot hold the frame is *counted as an
-    /// allocation*: the subsequent `Image::resize` will reallocate its
-    /// pixel buffer exactly once, and that hidden growth used to escape
-    /// the counter. A stream that shrinks and then grows back within
-    /// capacity still counts nothing; growing past the pooled capacity
-    /// mid-stream counts once and the grown buffer serves every later
-    /// frame at that size for free.
+    /// A pooled buffer whose capacity cannot hold the frame is *counted
+    /// as an allocation*: the subsequent `Image::resize` will reallocate
+    /// its pixel buffer exactly once. A stream that shrinks and then
+    /// grows back within capacity still counts nothing; growing past the
+    /// pooled capacity mid-stream counts once and the grown buffer
+    /// serves every later frame at that size for free.
     pub fn acquire_for(&mut self, width: u32, height: u32) -> Image {
         let needed = (width as usize) * (height as usize);
-        self.peak_pixels = self.peak_pixels.max(needed);
         match self.free.pop() {
             Some(img) => {
                 if img.capacity() < needed {
@@ -80,20 +62,6 @@ impl FramePool {
     pub fn allocations(&self) -> u64 {
         self.allocations
     }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
-    /// The largest frame (in pixels) ever requested through
-    /// [`FramePool::acquire_for`]. Lets a caller verify that a stream
-    /// served under resolution degradation really rendered smaller
-    /// frames (a shrunken request leaves the peak untouched; only
-    /// native-size frames raise it).
-    pub fn peak_pixels(&self) -> usize {
-        self.peak_pixels
-    }
 }
 
 #[cfg(test)]
@@ -104,12 +72,12 @@ mod tests {
     #[test]
     fn recycled_buffers_are_not_reallocated() {
         let mut pool = FramePool::new();
-        let mut a = pool.acquire();
+        let mut a = pool.acquire_for(8, 8);
         a.resize(8, 8, Rgb::BLACK);
         assert_eq!(pool.allocations(), 1);
         let ptr = a.pixels().as_ptr();
         pool.release(a);
-        let b = pool.acquire();
+        let b = pool.acquire_for(8, 8);
         assert_eq!(pool.allocations(), 1, "reuse, not a new allocation");
         assert_eq!(b.pixels().as_ptr(), ptr, "same buffer back");
         assert_eq!(b.get(7, 7), Rgb::BLACK, "contents untouched by acquire");
@@ -118,10 +86,9 @@ mod tests {
     #[test]
     fn unreturned_frames_force_new_acquisitions() {
         let mut pool = FramePool::new();
-        let _a = pool.acquire();
-        let _b = pool.acquire();
+        let _a = pool.acquire_for(8, 8);
+        let _b = pool.acquire_for(8, 8);
         assert_eq!(pool.allocations(), 2);
-        assert_eq!(pool.pooled(), 0);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!    calls (keyed to delivered-frame counts). Lanes only overlap
 //!    *execution*; delivery and accounting follow the schedule, so
 //!    results are independent of lane timing and every served frame is
-//!    **bit-identical** to the same frame rendered by a standalone
-//!    [`crate::RenderSession`], at any `UNI_RENDER_THREADS`.
+//!    **bit-identical** to the same frame rendered directly by its
+//!    session's renderer (`Renderer::render_into`), at any
+//!    `UNI_RENDER_THREADS`.
 //! 2. **Cross-session switching is charged.** The accelerator is one
 //!    device: whenever two consecutively *scheduled* frames end and
 //!    start in different micro-operator families — typically because
@@ -572,6 +573,11 @@ pub struct RenderServer {
     frames_skipped: u64,
     degraded_frames: u64,
     shed_sessions: u64,
+    /// Per-tick scratch, reused so a steady-state tick allocates
+    /// nothing: the policy's session snapshot, and the pipeline sequence
+    /// the load view prices.
+    views: Vec<SessionView>,
+    round_pipelines: Vec<Pipeline>,
 }
 
 impl RenderServer {
@@ -611,6 +617,8 @@ impl RenderServer {
             frames_skipped: 0,
             degraded_frames: 0,
             shed_sessions: 0,
+            views: Vec::new(),
+            round_pipelines: Vec::new(),
         }
     }
 
@@ -1366,30 +1374,29 @@ impl RenderServer {
         changed
     }
 
-    /// Snapshot of every schedulable session, in id order — what the
-    /// policy decides over.
-    fn views(&self) -> Vec<SessionView> {
+    /// Refills [`RenderServer::views`] with a snapshot of every
+    /// schedulable session, in id order — what the policy decides over.
+    fn refresh_views(&mut self) {
         let now = self.total_seconds;
-        self.sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.schedulable())
-            .map(|(id, slot)| {
-                let deadline = slot.next_deadline(slot.scheduled, now);
-                SessionView {
-                    session: id,
-                    pipeline: slot.pipeline,
-                    remaining: slot.len - slot.scheduled,
-                    weight: slot.stats.weight,
-                    priority: slot.stats.priority,
-                    delivered: slot.stats.frames,
-                    sim_seconds: slot.stats.seconds,
-                    deadline,
-                    slack: deadline.map(|d| d - now),
-                    last_scheduled: slot.last_scheduled,
-                }
-            })
-            .collect()
+        self.views.clear();
+        for (id, slot) in self.sessions.iter().enumerate() {
+            if !slot.schedulable() {
+                continue;
+            }
+            let deadline = slot.next_deadline(slot.scheduled, now);
+            self.views.push(SessionView {
+                session: id,
+                pipeline: slot.pipeline,
+                remaining: slot.len - slot.scheduled,
+                weight: slot.stats.weight,
+                priority: slot.stats.priority,
+                delivered: slot.stats.frames,
+                sim_seconds: slot.stats.seconds,
+                deadline,
+                slack: deadline.map(|d| d - now),
+                last_scheduled: slot.last_scheduled,
+            });
+        }
     }
 
     /// Dispatches upcoming schedule entries to worker lanes until the
@@ -1408,19 +1415,20 @@ impl RenderServer {
             let slot_index = self.ticks as usize;
             self.apply_staged(slot_index);
             self.consume_skips();
-            let views = self.views();
-            let pick = if views.is_empty() {
+            self.refresh_views();
+            let pick = if self.views.is_empty() {
                 None
             } else {
+                let load = self.load_view();
                 let ctx = PolicyContext {
                     tick: self.ticks,
                     last_session: self.last_session,
                     last_pipeline: self.last_pipeline,
                     now_seconds: self.total_seconds,
                     switch_costs: self.switch_costs.as_ref(),
-                    load: self.load_view(),
+                    load,
                 };
-                self.policy.pick(&ctx, &views)
+                self.policy.pick(&ctx, &self.views)
             };
             let Some(sid) = pick else {
                 // Nothing runnable. If the schedule has drained while
@@ -1431,7 +1439,7 @@ impl RenderServer {
                 }
                 break;
             };
-            let valid = views.iter().any(|v| v.session == sid);
+            let valid = self.views.iter().any(|v| v.session == sid);
             debug_assert!(valid, "policy picked an unschedulable session {sid}");
             if !valid {
                 break;
@@ -1519,10 +1527,10 @@ impl RenderServer {
     /// Aggregate load view over the currently schedulable sessions —
     /// what policies observe as [`PolicyContext::load`], computed from
     /// settled accounting and the switch-cost model only.
-    fn load_view(&self) -> LoadView {
+    fn load_view(&mut self) -> LoadView {
         let prior = self.admission.map_or(0.0, |c| c.frame_cost_prior);
         let mut view = LoadView::default();
-        let mut pipelines: Vec<Pipeline> = Vec::new();
+        self.round_pipelines.clear();
         for slot in &self.sessions {
             if !slot.schedulable() {
                 continue;
@@ -1533,7 +1541,7 @@ impl RenderServer {
             } else {
                 prior
             };
-            pipelines.push(slot.pipeline);
+            self.round_pipelines.push(slot.pipeline);
             if let Some(p) = slot.period {
                 view.deadline_bound += 1;
                 view.min_period = Some(match view.min_period {
@@ -1543,7 +1551,7 @@ impl RenderServer {
             }
         }
         if let Some(model) = &self.switch_costs {
-            view.predicted_round_seconds += model.round_cost(&pipelines);
+            view.predicted_round_seconds += model.round_cost(&self.round_pipelines);
         }
         view
     }

@@ -286,6 +286,15 @@ impl SessionStats {
         self.in_frame_reconfigurations + self.boundary_reconfigurations
     }
 
+    /// Reconfigurations per delivered frame, amortized over the stream.
+    pub fn reconfigurations_per_frame(&self) -> f64 {
+        if self.frames == 0 {
+            0.0
+        } else {
+            self.total_reconfigurations() as f64 / self.frames as f64
+        }
+    }
+
     /// Simulated throughput of this session's frames (frames per
     /// simulated second); 0 when nothing was simulated.
     pub fn mean_fps(&self) -> f64 {

@@ -178,12 +178,11 @@ impl Layer {
     }
 
     /// Computes the layer into a preallocated slice of width `out_dim`
-    /// with the production kernel (8-wide GEMM panels under the `simd`
-    /// feature, the seed-era row-dot otherwise).
+    /// with the production kernel (8-wide GEMM panels).
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim(), "input width mismatch");
         assert_eq!(out.len(), self.out_dim(), "output width mismatch");
-        self.forward_slice(x, out);
+        self.forward_slice_packed(x, out);
     }
 
     /// Computes the layer with the seed-era scalar row-dot kernel — the
@@ -192,16 +191,6 @@ impl Layer {
     pub fn forward_into_scalar(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim(), "input width mismatch");
         assert_eq!(out.len(), self.out_dim(), "output width mismatch");
-        self.forward_slice_scalar(x, out);
-    }
-
-    #[cfg(feature = "simd")]
-    fn forward_slice(&self, x: &[f32], out: &mut [f32]) {
-        self.forward_slice_packed(x, out);
-    }
-
-    #[cfg(not(feature = "simd"))]
-    fn forward_slice(&self, x: &[f32], out: &mut [f32]) {
         self.forward_slice_scalar(x, out);
     }
 
@@ -214,7 +203,6 @@ impl Layer {
     /// results are bit-stable across runs and across
     /// `UNI_RENDER_THREADS`.
     // uni-lint: hot
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     fn forward_slice_packed(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim());
         debug_assert_eq!(out.len(), self.out_dim());
@@ -391,7 +379,7 @@ impl Mlp {
         for layer in &self.layers {
             scratch.next.clear();
             scratch.next.resize(layer.out_dim(), 0.0);
-            layer.forward_slice(&scratch.cur, &mut scratch.next);
+            layer.forward_slice_packed(&scratch.cur, &mut scratch.next);
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
         }
         &scratch.cur
@@ -442,7 +430,7 @@ impl Mlp {
             let in_end = arena.offsets[arena.offsets.len() - 1];
             arena.data.resize(in_end + layer.out_dim(), 0.0);
             let (head, tail) = arena.data.split_at_mut(in_end);
-            layer.forward_slice(&head[in_start..], tail);
+            layer.forward_slice_packed(&head[in_start..], tail);
             arena.offsets.push(arena.data.len());
         }
     }

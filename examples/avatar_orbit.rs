@@ -35,8 +35,8 @@ fn main() {
     // The two pipelines AR/VR avatar applications actually choose
     // between: 3D Gaussians (quality) and mesh (toolchain compatibility).
     for renderer in [
-        Box::new(GaussianPipeline::default()) as Box<dyn Renderer>,
-        Box::new(MeshPipeline::default()) as Box<dyn Renderer>,
+        Box::new(GaussianPipeline::default()) as Box<dyn Renderer + Send>,
+        Box::new(MeshPipeline::default()) as Box<dyn Renderer + Send>,
     ] {
         println!(
             "\n=== {} pipeline, {FRAMES}-frame streamed orbit @512x512 ===",

@@ -20,8 +20,8 @@
 //! the example prints her deadline report at the end.
 //!
 //! Delivery is deterministic: the example proves it by re-rendering one
-//! user's stream with a standalone [`RenderSession`] and asserting every
-//! frame is bit-identical.
+//! user's stream directly with `Renderer::render_into`, outside the
+//! server, and asserting every frame is bit-identical.
 //!
 //! ```sh
 //! cargo run --release --example multi_user_orbit
@@ -131,13 +131,11 @@ fn main() {
     }
 
     // Determinism proof runs alongside serving: alice's served frames
-    // must be bit-identical to a standalone session on the same path.
+    // must be bit-identical to her renderer drawing the same path
+    // directly.
     let (_, alice_renderer, alice_res, alice_start, _) = users().remove(0);
-    let mut solo = RenderSession::new(
-        Arc::clone(&scene),
-        alice_renderer,
-        path_for(&spec, alice_res, alice_start),
-    );
+    let alice_path = path_for(&spec, alice_res, alice_start);
+    let mut reference = Image::empty();
     let mut checked = 0;
 
     println!(
@@ -162,14 +160,14 @@ fn main() {
             },
         );
         if frame.session == 0 {
-            let reference = solo.next_frame().expect("same path length");
+            let camera = alice_path.camera(frame.report.index);
+            alice_renderer.render_into(&scene, &camera, &mut reference);
             assert_eq!(
                 frame.report.image.pixels(),
-                reference.image.pixels(),
-                "served frame {} must be bit-identical to the standalone session",
+                reference.pixels(),
+                "served frame {} must be bit-identical to the renderer's own",
                 frame.report.index
             );
-            solo.recycle(reference.image);
             checked += 1;
         }
         server.recycle(frame.session, frame.report.image);
@@ -259,7 +257,7 @@ fn main() {
 
     assert_eq!(checked, FRAMES);
     println!(
-        "\nDeterminism check: {checked}/{FRAMES} served frames bit-identical to a \
-         standalone session."
+        "\nDeterminism check: {checked}/{FRAMES} served frames bit-identical to \
+         the renderer's own render_into."
     );
 }

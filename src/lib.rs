@@ -22,15 +22,16 @@
 //!
 //! # Quickstart: stream a camera path
 //!
-//! Rendering is frame-stream-first: a [`engine::RenderSession`] owns a
-//! baked scene, a renderer, a reusable framebuffer pool, and a camera
-//! path, and yields one [`engine::FrameReport`] per frame — the rendered
-//! image plus the frame's micro-operator trace and simulated accelerator
-//! report. Each frame is rendered once: `Renderer::render_traced` writes
-//! the image and traces it from that render's own work counts, in the
-//! session and in every [`engine::RenderServer`] lane alike. Recycling
-//! each frame's buffer keeps the stream allocation-free after the first
-//! frame; the end-of-stream summary reports throughput and the
+//! Rendering is frame-stream-first: a [`engine::RenderSession`] streams
+//! one camera path of a baked scene through one renderer and yields one
+//! [`engine::FrameReport`] per frame — the rendered image plus the
+//! frame's micro-operator trace and simulated accelerator report. It is
+//! a one-session [`engine::RenderServer`], so a single frame and
+//! accounting path serves one stream and many alike. Each frame is
+//! rendered once: `Renderer::render_traced` writes the image and traces
+//! it from that render's own work counts. Recycling each frame's buffer
+//! keeps the stream allocation-free after the first frame; the
+//! end-of-stream [`engine::SessionStats`] report throughput and the
 //! reconfigurations amortized across frame boundaries.
 //!
 //! ```
@@ -81,7 +82,7 @@ pub mod prelude {
         FleetSummary, FramePool, FrameReport, LoadView, PolicyContext, Priority, RenderServer,
         RenderSession, RoundRobin, SceneCache, SceneCacheConfig, SceneKey, SchedulePolicy,
         ServedFrame, ServerFleet, ServerSummary, SessionHandle, SessionRequest, SessionStats,
-        SessionView, ShardSummary, StreamSummary, SwitchCostModel, WeightedFair,
+        SessionView, ShardSummary, SwitchCostModel, WeightedFair,
     };
     pub use uni_geometry::{Aabb, Camera, Image, Mat4, Orbit, Ray, Rgb, Vec2, Vec3, Vec4};
     pub use uni_microops::{MicroOp, Pipeline, Trace};

@@ -5,10 +5,9 @@
 pub mod alloc;
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use uni_render::prelude::Image;
 use uni_render::prelude::{
-    GaussianPipeline, HashGridPipeline, LowRankPipeline, MeshPipeline, MixRtPipeline, MlpPipeline,
-    Renderer,
+    BakedScene, CameraPath, GaussianPipeline, HashGridPipeline, Image, LowRankPipeline,
+    MeshPipeline, MixRtPipeline, MlpPipeline, Renderer,
 };
 
 /// Serialization point for tests that mutate the process-wide
@@ -71,4 +70,24 @@ pub fn fnv1a_image(image: &Image) -> u64 {
         }
     }
     h
+}
+
+/// The serving determinism oracle: per-frame [`fnv1a_image`] hashes of
+/// `renderer` drawing every camera of `path` with
+/// `Renderer::render_into`, into one reused image. No engine code runs,
+/// so a served stream that matches it carries exactly the renderer's
+/// own bits.
+#[allow(dead_code)]
+pub fn render_into_hashes(
+    scene: &BakedScene,
+    renderer: &dyn Renderer,
+    path: &CameraPath,
+) -> Vec<u64> {
+    let mut image = Image::empty();
+    path.iter()
+        .map(|camera| {
+            renderer.render_into(scene, &camera, &mut image);
+            fnv1a_image(&image)
+        })
+        .collect()
 }

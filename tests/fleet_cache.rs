@@ -13,11 +13,11 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use uni_render::prelude::*;
 
 mod common;
-use common::{env_lock, fnv1a_image as frame_hash, renderer, with_threads};
+use common::{env_lock, fnv1a_image as frame_hash, render_into_hashes, renderer, with_threads};
 
 const DETAIL: f32 = 0.02;
 const CAPACITY: usize = 2;
@@ -117,13 +117,7 @@ fn evict_then_rebake_round_trips_bit_identically() {
     let _guard = env_lock();
     with_threads("1", || {
         // Standalone reference for scene 0's wave.
-        let scene = Arc::new(spec(0).bake());
-        let mut solo = RenderSession::new(scene, renderer(0), path(0));
-        let mut reference = Vec::with_capacity(FRAMES_PER_WAVE);
-        while let Some(frame) = solo.next_frame() {
-            reference.push(frame_hash(&frame.image));
-            solo.recycle(frame.image);
-        }
+        let reference = render_into_hashes(&spec(0).bake(), &*renderer(0), &path(0));
 
         let mut fleet = fleet();
         let first = run_wave(&mut fleet, 0);

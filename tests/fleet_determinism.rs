@@ -2,9 +2,10 @@
 //! migration are *invisible* in the delivered bits.
 //!
 //! 1. Every session a [`ServerFleet`] serves delivers frames
-//!    bit-identical to a standalone [`RenderSession`] walking the same
-//!    path on the same scene — at `UNI_RENDER_THREADS` 1 and 4 — and
-//!    the [`FleetSummary`] is consistent and thread-invariant.
+//!    bit-identical to its renderer drawing the same path on a
+//!    standalone bake of the same scene through `render_into` — at
+//!    `UNI_RENDER_THREADS` 1 and 4 — and the [`FleetSummary`] is
+//!    consistent and thread-invariant.
 //! 2. A mid-serve [`ServerFleet::migrate`] yields a bit-identical
 //!    permutation of the unmigrated stream: per-session delivery stays
 //!    in path order with the exact standalone bits, only the
@@ -21,7 +22,9 @@ use std::sync::{Arc, OnceLock};
 use uni_render::prelude::*;
 
 mod common;
-use common::{env_lock, fnv1a_image as frame_hash, renderer, with_threads, RESOLUTIONS};
+use common::{
+    env_lock, fnv1a_image as frame_hash, render_into_hashes, renderer, with_threads, RESOLUTIONS,
+};
 
 const DETAIL: f32 = 0.02;
 
@@ -66,20 +69,18 @@ fn request_for(session: usize, mix: Mix) -> FleetSessionRequest {
     FleetSessionRequest::new(move || renderer(pipeline), path_for(session, mix))
 }
 
-/// Renders every session standalone: per-session, per-frame hashes.
-fn standalone_hashes(mixes: &[Mix]) -> Vec<Vec<u64>> {
+/// The oracle: each session's renderer drawing its path on a standalone
+/// bake through `render_into` — per-session, per-frame hashes.
+fn oracle_hashes(mixes: &[Mix]) -> Vec<Vec<u64>> {
     mixes
         .iter()
         .enumerate()
         .map(|(id, &mix)| {
-            let mut session =
-                RenderSession::new(baked(mix.scene), renderer(mix.pipeline), path_for(id, mix));
-            let mut hashes = Vec::with_capacity(mix.frames);
-            while let Some(frame) = session.next_frame() {
-                hashes.push(frame_hash(&frame.image));
-                session.recycle(frame.image);
-            }
-            hashes
+            render_into_hashes(
+                &baked(mix.scene),
+                &*renderer(mix.pipeline),
+                &path_for(id, mix),
+            )
         })
         .collect()
 }
@@ -129,7 +130,7 @@ proptest! {
                 resolution: RESOLUTIONS[res],
             })
             .collect();
-        let solo = with_threads("1", || standalone_hashes(&mixes));
+        let solo = oracle_hashes(&mixes);
         let total: usize = mixes.iter().map(|m| m.frames).sum();
 
         let mut reference: Option<(Vec<Vec<u64>>, FleetSummary)> = None;
@@ -234,7 +235,7 @@ proptest! {
             })
             .collect();
         let victim = victim_pick % mixes.len();
-        let solo = with_threads("1", || standalone_hashes(&mixes));
+        let solo = oracle_hashes(&mixes);
 
         let mut reference: Option<(Vec<Vec<u64>>, FleetSummary)> = None;
         for threads in ["1", "4"] {
@@ -265,7 +266,7 @@ fn mid_serve_migration_hands_off_a_real_suffix() {
             frames: 8,
             resolution: RESOLUTIONS[0],
         }];
-        let solo = standalone_hashes(&mixes);
+        let solo = oracle_hashes(&mixes);
         let (served, summary) = fleet_hashes_with_migration(&mixes, 0, 2, false);
         assert_eq!(served, solo, "handed-off stream is bit-identical");
         assert!(summary.is_consistent());

@@ -1,7 +1,8 @@
 //! Every served frame is rendered once. With an accelerator attached,
-//! `RenderSession` and `RenderServer` lanes call `render_traced`, which
-//! renders the frame and traces it from that render's own work counts —
-//! never `render_into` followed by a second, probe-rendering `trace()`.
+//! `RenderServer` lanes (a `RenderSession` is a one-lane server) call
+//! `render_traced`, which renders the frame and traces it from that
+//! render's own work counts — never `render_into` followed by a second,
+//! probe-rendering `trace()`.
 //!
 //! A counting wrapper delegates to a real pipeline and counts every
 //! entry point; the served frame, trace, and sim streams must equal the

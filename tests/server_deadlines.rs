@@ -2,8 +2,8 @@
 //!
 //! - [`EarliestDeadline`] served streams are a **bit-identical
 //!   permutation** of the round-robin stream (each session's frames
-//!   arrive complete, in path order, matching a standalone
-//!   [`RenderSession`]) and **thread-invariant** at
+//!   arrive complete, in path order, matching the renderer's own
+//!   `render_into` output) and **thread-invariant** at
 //!   `UNI_RENDER_THREADS ∈ {1, 4}` — and so are [`CostAware`] streams;
 //! - EDF never misses a deadline round-robin meets on the same
 //!   workload (deadlines are sim-time facts, so this is a property of
@@ -21,7 +21,9 @@ use std::sync::{Arc, OnceLock};
 use uni_render::prelude::*;
 
 mod common;
-use common::{env_lock, fnv1a_image as frame_hash, renderer, with_threads, RESOLUTIONS};
+use common::{
+    env_lock, fnv1a_image as frame_hash, render_into_hashes, renderer, with_threads, RESOLUTIONS,
+};
 
 /// Delivery order, per-session frame hashes, per-frame delivered slack
 /// (delivery order), and final summary of one served run.
@@ -97,24 +99,6 @@ fn request_for(id: usize, mix: Mix, round_seconds: f64) -> SessionRequest {
     request
 }
 
-/// Renders every session standalone: per-session, per-frame hashes.
-fn standalone_hashes(mixes: &[Mix]) -> Vec<Vec<u64>> {
-    mixes
-        .iter()
-        .enumerate()
-        .map(|(id, &mix)| {
-            let mut session =
-                RenderSession::new(scene(), renderer(mix.pipeline), path_for(id, mix));
-            let mut hashes = Vec::with_capacity(mix.frames);
-            while let Some(frame) = session.next_frame() {
-                hashes.push(frame_hash(&frame.image));
-                session.recycle(frame.image);
-            }
-            hashes
-        })
-        .collect()
-}
-
 /// Serves every session through one server under `policy`.
 fn served(
     mixes: &[Mix],
@@ -171,8 +155,14 @@ proptest! {
         let _guard = env_lock();
         let mixes = mixes_from(&raw);
         let total: usize = mixes.iter().map(|m| m.frames).sum();
-        let (solo, round_seconds) =
-            with_threads("1", || (standalone_hashes(&mixes), mean_round_seconds(&mixes)));
+        let solo: Vec<Vec<u64>> = mixes
+            .iter()
+            .enumerate()
+            .map(|(id, &mix)| {
+                render_into_hashes(&scene(), &*renderer(mix.pipeline), &path_for(id, mix))
+            })
+            .collect();
+        let round_seconds = with_threads("1", || mean_round_seconds(&mixes));
 
         type Factory = fn() -> Box<dyn SchedulePolicy>;
         fn edf() -> Box<dyn SchedulePolicy> {
@@ -190,7 +180,7 @@ proptest! {
                 let (order, hashes, _, summary) = &run;
                 // Permutation of the round-robin stream with
                 // bit-identical frames: every session's stream is
-                // complete, in path order, matching standalone.
+                // complete, in path order, matching the renderer.
                 prop_assert!(hashes == &solo, "policy {} altered frames", name);
                 prop_assert_eq!(order.len(), total);
                 prop_assert!(summary.is_consistent());

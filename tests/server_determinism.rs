@@ -1,7 +1,8 @@
 //! The serving determinism contract: every frame a [`RenderServer`]
-//! delivers is **bit-identical** to the same frame rendered by a
-//! standalone [`RenderSession`], for any mix of sessions (pipelines and
-//! resolutions varying freely) and for any thread count.
+//! delivers is **bit-identical** to the same frame rendered directly by
+//! its renderer (`Renderer::render_into`, no engine code), for any mix
+//! of sessions (pipelines and resolutions varying freely) and for any
+//! thread count.
 //!
 //! Scheduler order is part of the public contract (strict round-robin
 //! over session ids), so the summaries must be identical across thread
@@ -17,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 use uni_render::prelude::*;
 
 mod common;
-use common::fnv1a_image as frame_hash;
+use common::{fnv1a_image as frame_hash, render_into_hashes, renderer};
 
 fn scene() -> Arc<BakedScene> {
     static SCENE: OnceLock<Arc<BakedScene>> = OnceLock::new();
@@ -40,41 +41,12 @@ struct Mix {
 
 const RESOLUTIONS: [(u32, u32); 4] = [(16, 12), (24, 16), (32, 24), (40, 28)];
 
-fn renderer(index: usize) -> Box<dyn Renderer + Send> {
-    match index {
-        0 => Box::new(MeshPipeline::default()),
-        1 => Box::new(MlpPipeline::default()),
-        2 => Box::new(LowRankPipeline::default()),
-        3 => Box::new(HashGridPipeline::default()),
-        4 => Box::new(GaussianPipeline::default()),
-        _ => Box::new(MixRtPipeline::default()),
-    }
-}
-
 /// Each session orbits from its own start angle so the mixes exercise
 /// genuinely different cameras, deterministically per session id.
 fn path_for(session: usize, mix: Mix) -> CameraPath {
     let (w, h) = mix.resolution;
     let orbit = scene().spec().orbit(w, h);
     CameraPath::orbit_arc(orbit, 0.7 * session as f32, 2.0, mix.frames)
-}
-
-/// Renders every session standalone: per-session, per-frame hashes.
-fn standalone_hashes(mixes: &[Mix]) -> Vec<Vec<u64>> {
-    mixes
-        .iter()
-        .enumerate()
-        .map(|(id, &mix)| {
-            let mut session =
-                RenderSession::new(scene(), renderer(mix.pipeline), path_for(id, mix));
-            let mut hashes = Vec::with_capacity(mix.frames);
-            while let Some(frame) = session.next_frame() {
-                hashes.push(frame_hash(&frame.image));
-                session.recycle(frame.image);
-            }
-            hashes
-        })
-        .collect()
 }
 
 /// Serves every session through one server: hashes indexed the same way,
@@ -120,7 +92,13 @@ proptest! {
         let mut reference: Option<(Vec<Vec<u64>>, ServerSummary)> = None;
         for threads in ["1", "4"] {
             std::env::set_var("UNI_RENDER_THREADS", threads);
-            let solo = standalone_hashes(&mixes);
+            let solo: Vec<Vec<u64>> = mixes
+                .iter()
+                .enumerate()
+                .map(|(id, &mix)| {
+                    render_into_hashes(&scene(), &*renderer(mix.pipeline), &path_for(id, mix))
+                })
+                .collect();
             let (served, summary) = served_hashes(&mixes, 4);
             prop_assert_eq!(&served, &solo);
             prop_assert!(summary.is_consistent());

@@ -2,8 +2,8 @@
 //!
 //! - every built-in policy's served-frame stream is a **permutation** of
 //!   the round-robin stream with **bit-identical** frames (each session's
-//!   frames arrive complete, in path order, matching a standalone
-//!   [`RenderSession`]);
+//!   frames arrive complete, in path order, matching its renderer's own
+//!   `render_into` output);
 //! - schedules, streams, and summaries are **thread-invariant** at
 //!   `UNI_RENDER_THREADS ∈ {1, 4}`;
 //! - [`WeightedFair`] equalizes per-weight sim-time credit within one
@@ -22,7 +22,9 @@ use std::sync::{Arc, OnceLock};
 use uni_render::prelude::*;
 
 mod common;
-use common::{env_lock, fnv1a_image as frame_hash, renderer, with_threads, RESOLUTIONS};
+use common::{
+    env_lock, fnv1a_image as frame_hash, render_into_hashes, renderer, with_threads, RESOLUTIONS,
+};
 
 /// Delivery order, per-session frame hashes, and final summary of one
 /// served run.
@@ -64,26 +66,8 @@ fn request_for(id: usize, mix: Mix) -> SessionRequest {
         .priority((id % 2) as u8)
 }
 
-/// Renders every session standalone: per-session, per-frame hashes.
-fn standalone_hashes(mixes: &[Mix]) -> Vec<Vec<u64>> {
-    mixes
-        .iter()
-        .enumerate()
-        .map(|(id, &mix)| {
-            let mut session =
-                RenderSession::new(scene(), renderer(mix.pipeline), path_for(id, mix));
-            let mut hashes = Vec::with_capacity(mix.frames);
-            while let Some(frame) = session.next_frame() {
-                hashes.push(frame_hash(&frame.image));
-                session.recycle(frame.image);
-            }
-            hashes
-        })
-        .collect()
-}
-
 /// Serves every session through one server under `policy`: the delivery
-/// order, per-session frame hashes (indexed like `standalone_hashes`),
+/// order, per-session frame hashes (indexed like the mix),
 /// and the end-of-run summary.
 fn served(mixes: &[Mix], policy: Box<dyn SchedulePolicy>, lanes: usize) -> ServedRun {
     let mut server = RenderServer::new(scene())
@@ -144,7 +128,13 @@ proptest! {
             })
             .collect();
         let total: usize = mixes.iter().map(|m| m.frames).sum();
-        let solo = with_threads("1", || standalone_hashes(&mixes));
+        let solo: Vec<Vec<u64>> = mixes
+            .iter()
+            .enumerate()
+            .map(|(id, &mix)| {
+                render_into_hashes(&scene(), &*renderer(mix.pipeline), &path_for(id, mix))
+            })
+            .collect();
 
         for (name, fresh) in policies() {
             let mut reference: Option<ServedRun> = None;
@@ -153,7 +143,7 @@ proptest! {
                 let (order, hashes, summary) = &run;
                 // Permutation of the round-robin stream with bit-identical
                 // frames: every session's stream is complete, in path
-                // order, and matches the standalone session exactly.
+                // order, and matches the renderer's own frames exactly.
                 prop_assert!(hashes == &solo, "policy {} altered frames", name);
                 prop_assert_eq!(order.len(), total);
                 prop_assert!(summary.is_consistent());
@@ -372,7 +362,7 @@ fn cost_aware_coalescing_never_pays_more_switches_nor_worse_slack() {
 
 /// Mid-serve admission and early close keep the served stream
 /// bit-identical across thread counts, and admitted sessions' frames
-/// match a standalone session exactly.
+/// match their renderer's own frames exactly.
 #[test]
 fn mid_serve_churn_is_bit_deterministic_across_thread_counts() {
     let _guard = env_lock();
@@ -432,15 +422,13 @@ fn mid_serve_churn_is_bit_deterministic_across_thread_counts() {
                 late_mix.frames,
                 "late session served fully"
             );
-            // The late session's frames are bit-identical to a
-            // standalone session walking the same path.
-            let mut solo =
-                RenderSession::new(scene(), renderer(late_mix.pipeline), path_for(3, late_mix));
-            let mut solo_hashes = Vec::new();
-            while let Some(frame) = solo.next_frame() {
-                solo_hashes.push(frame_hash(&frame.image));
-                solo.recycle(frame.image);
-            }
+            // The late session's frames are bit-identical to its
+            // renderer drawing the same path directly.
+            let solo_hashes = render_into_hashes(
+                &scene(),
+                &*renderer(late_mix.pipeline),
+                &path_for(3, late_mix),
+            );
             let served_late: Vec<u64> = stream
                 .iter()
                 .filter(|(s, _, _)| *s == late.id())

@@ -2,8 +2,9 @@
 //! `README.md` promises and R7 of `uni-lint` enforces lexically: after a
 //! short warmup (scratch arenas grown, framebuffer pooled), an image-only
 //! [`RenderSession`] streams frames without touching the global
-//! allocator. A counting `#[global_allocator]` measures every
-//! `next_frame` + `recycle` cycle, per pipeline.
+//! allocator, and so does a mixed-pipeline [`RenderServer`] tick. A
+//! counting `#[global_allocator]` measures every `next_frame` +
+//! `recycle` cycle, per pipeline.
 //!
 //! At `UNI_RENDER_THREADS=1` the contract is absolute: zero allocation
 //! events per steady-state frame. One worker renders on the test's own
@@ -40,17 +41,32 @@ fn scene() -> &'static Arc<BakedScene> {
     SCENE.get_or_init(|| Arc::new(SceneSpec::demo("steady", 77).with_detail(0.03).bake()))
 }
 
+/// Calls `step` until it reports the stream ended and returns how far
+/// `meter` advanced inside each call.
+fn per_step(mut step: impl FnMut() -> bool, meter: impl Fn() -> u64) -> Vec<u64> {
+    let mut counts = Vec::new();
+    loop {
+        let before = meter();
+        if !step() {
+            return counts;
+        }
+        counts.push(meter() - before);
+    }
+}
+
 /// Streams `session` to the end of its path and returns how far `meter`
 /// advanced inside each `next_frame` + `recycle` cycle.
 fn per_frame(mut session: RenderSession, meter: impl Fn() -> u64) -> Vec<u64> {
-    let mut counts = Vec::with_capacity(session.remaining());
-    while session.remaining() > 0 {
-        let before = meter();
-        let frame = session.next_frame().expect("path not exhausted");
-        session.recycle(frame.image);
-        counts.push(meter() - before);
-    }
-    counts
+    per_step(
+        || match session.next_frame() {
+            Some(frame) => {
+                session.recycle(frame.image);
+                true
+            }
+            None => false,
+        },
+        meter,
+    )
 }
 
 /// Streams one image-only session and returns the allocation events
@@ -64,6 +80,33 @@ fn frame_alloc_counts(pipeline: usize, meter: impl Fn() -> u64) -> Vec<u64> {
     per_frame(session, meter)
 }
 
+/// Serves two image-only sessions on different pipelines (mesh, MLP)
+/// through one 1-lane server and returns the allocation events `meter`
+/// counted per round-robin round: one frame of each session, delivered
+/// and recycled.
+fn server_alloc_counts(meter: impl Fn() -> u64) -> Vec<u64> {
+    let mut server = RenderServer::new(Arc::clone(scene())).with_lanes(1);
+    for pipeline in [0, 1] {
+        let path = CameraPath::orbit(
+            scene().spec().orbit(32, 24),
+            WARMUP_FRAMES + MEASURED_FRAMES,
+        );
+        server.admit(SessionRequest::new(common::renderer(pipeline), path));
+    }
+    per_step(
+        || {
+            (0..2).all(|_| match server.next_frame() {
+                Some(frame) => {
+                    server.recycle(frame.session, frame.report.image);
+                    true
+                }
+                None => false,
+            })
+        },
+        meter,
+    )
+}
+
 /// The per-frame counts after warmup, with context on failure.
 fn steady(counts: &[u64]) -> &[u64] {
     &counts[WARMUP_FRAMES..]
@@ -73,7 +116,7 @@ fn steady(counts: &[u64]) -> &[u64] {
 fn steady_state_frames_do_not_allocate_single_threaded() {
     let _guard = common::env_lock();
     common::with_threads("1", || {
-        let all: Vec<(&str, Vec<u64>)> = PIPELINES
+        let mut all: Vec<(&str, Vec<u64>)> = PIPELINES
             .iter()
             .enumerate()
             // One worker renders on this thread: its own meter sees
@@ -85,6 +128,10 @@ fn steady_state_frames_do_not_allocate_single_threaded() {
                 )
             })
             .collect();
+        all.push((
+            "server mesh+mlp",
+            server_alloc_counts(common::alloc::thread_allocations),
+        ));
         for (name, counts) in &all {
             assert!(
                 steady(counts).iter().all(|&c| c == 0),
@@ -168,6 +215,6 @@ fn framebuffer_pool_reuses_one_allocation() {
         while let Some(frame) = session.next_frame() {
             session.recycle(frame.image);
         }
-        assert_eq!(session.pool().allocations(), 1);
+        assert_eq!(session.summary().framebuffer_allocations, 1);
     });
 }
