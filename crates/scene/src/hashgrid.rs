@@ -180,6 +180,11 @@ impl HashGrid {
         self.bounds
     }
 
+    /// Every level's feature table, in one flat buffer.
+    pub fn tables(&self) -> &[f32] {
+        &self.tables
+    }
+
     /// Level `l`'s segment of the flat feature buffer.
     fn table(&self, l: usize) -> &[f32] {
         let m = &self.level_meta[l];

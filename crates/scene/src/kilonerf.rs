@@ -176,6 +176,11 @@ impl KiloNerfGrid {
         &self.encoding
     }
 
+    /// Per-cell MLP index (`u32::MAX` marks an empty cell).
+    pub fn assignment(&self) -> &[u32] {
+        &self.assignment
+    }
+
     /// Number of occupied cells.
     pub fn occupied_cells(&self) -> usize {
         self.assignment.iter().filter(|&&a| a != EMPTY).count()

@@ -77,6 +77,11 @@ impl Texture2d {
         self.data[i..i + values.len()].copy_from_slice(values);
     }
 
+    /// Every texel's channels, row-major.
+    pub fn data(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Reads all channels of texel `(x, y)`.
     pub fn texel(&self, x: u32, y: u32) -> &[f32] {
         let i = self.texel_index(x.min(self.width - 1), y.min(self.height - 1));

@@ -168,6 +168,11 @@ impl Layer {
         &self.weights
     }
 
+    /// The bias vector (`out_dim`).
+    pub fn biases(&self) -> &[f32] {
+        &self.biases
+    }
+
     /// Mutable weight access for constructed (hand-baked) decoders.
     ///
     /// Invalidates the packed panel cache: the next wide forward repacks

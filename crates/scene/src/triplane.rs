@@ -138,6 +138,11 @@ impl Triplane {
         &self.planes[axis as usize]
     }
 
+    /// The low-res grid's vertex features, `x`-fastest.
+    pub fn grid(&self) -> &[f32] {
+        &self.grid
+    }
+
     /// Writes the low-res grid vertex `(x, y, z)`.
     ///
     /// # Panics

@@ -15,6 +15,7 @@
 //! and paste the printed `GOLDEN` table into this file.
 
 use uni_render::prelude::*;
+use uni_render::scene::{Mlp, PlaneAxis, Texture2d};
 
 mod common;
 use common::fnv1a_image as fnv1a;
@@ -67,6 +68,15 @@ const GOLDEN_EDF_STREAM: u64 = 0x6457e00dcf626652;
 /// rebaked scene serves. Thread-invariant like every other golden;
 /// re-bless together with `GOLDEN`.
 const GOLDEN_FLEET_STREAM: u64 = 0x6167552f0ece5f93;
+
+/// Checked-in hash of the golden spec's *baked data*: FNV-1a over the
+/// bits of every representation [`bake_hash`] folds — the mesh, texture,
+/// Gaussian cloud, hash grid and its decoder, tri-plane, deferred MLP and
+/// KiloNeRF grid — in a fixed order. The frame goldens only see what one
+/// 64×64 view of each pipeline happens to read; this pins every baked
+/// value, so a bake-side change that keeps the frames can still not move
+/// a bit unnoticed. Re-bless together with `GOLDEN`.
+const GOLDEN_BAKE: u64 = 0x1d5d35f2c4ce8ecc;
 
 fn golden_frames() -> Vec<(String, u64)> {
     let spec = SceneSpec::demo("golden", GOLDEN_SEED).with_detail(GOLDEN_DETAIL);
@@ -214,6 +224,142 @@ fn fleet_stream_hash() -> u64 {
         }
     }
     h
+}
+
+/// FNV-1a folded over 32-bit words: each value contributes its
+/// little-endian bytes, lengths and dimensions included, so reshaped data
+/// with equal contents still hashes differently.
+struct BakeHasher(u64);
+
+impl BakeHasher {
+    fn word(&mut self, value: u32) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn len(&mut self, len: usize) {
+        self.word(u32::try_from(len).expect("golden bake buffers fit u32"));
+    }
+
+    fn floats(&mut self, values: &[f32]) {
+        self.len(values.len());
+        for v in values {
+            self.word(v.to_bits());
+        }
+    }
+
+    fn vec3s(&mut self, values: &[Vec3]) {
+        self.len(values.len());
+        for v in values {
+            self.floats(&[v.x, v.y, v.z]);
+        }
+    }
+
+    fn texture(&mut self, tex: &Texture2d) {
+        self.word(tex.width());
+        self.word(tex.height());
+        self.word(tex.channels());
+        self.floats(tex.data());
+    }
+
+    /// What `Layer`'s `PartialEq` compares — weights, biases, activation
+    /// — and not the lazily packed panel cache derived from them.
+    fn mlp(&mut self, mlp: &Mlp) {
+        self.len(mlp.layers().len());
+        for layer in mlp.layers() {
+            self.len(layer.in_dim());
+            self.len(layer.out_dim());
+            self.floats(layer.weights().as_slice());
+            self.floats(layer.biases());
+            self.word(layer.activation() as u32);
+        }
+    }
+}
+
+/// Folds every baked representation of `scene` into one hash.
+fn bake_hash(scene: &BakedScene) -> u64 {
+    let mut h = BakeHasher(0xCBF2_9CE4_8422_2325);
+    let b = scene.bounds();
+    h.vec3s(&[b.min, b.max]);
+
+    let mesh = scene.mesh();
+    h.vec3s(&mesh.positions);
+    h.len(mesh.uvs.len());
+    for uv in &mesh.uvs {
+        h.floats(&[uv.x, uv.y]);
+    }
+    h.len(mesh.indices.len());
+    for &i in &mesh.indices {
+        h.word(i);
+    }
+
+    h.texture(scene.texture());
+
+    let cloud = scene.gaussians();
+    h.word(u32::from(cloud.sh_degree));
+    h.len(cloud.len());
+    for g in &cloud.gaussians {
+        h.vec3s(&[g.mean, g.scale]);
+        h.floats(&[g.rotation.x, g.rotation.y, g.rotation.z, g.rotation.w]);
+        h.floats(&[g.opacity]);
+        h.floats(&g.sh_coeffs);
+    }
+
+    let grid = scene.hashgrid();
+    let c = grid.config();
+    for v in [
+        c.levels,
+        c.features_per_entry,
+        c.base_resolution,
+        c.max_resolution,
+    ] {
+        h.word(v);
+    }
+    h.floats(grid.tables());
+    h.mlp(scene.hash_decoder());
+
+    let tp = scene.triplane();
+    let c = tp.config();
+    for v in [c.plane_resolution, c.grid_resolution, c.channels] {
+        h.word(v);
+    }
+    for axis in PlaneAxis::ALL {
+        h.texture(tp.plane(axis));
+    }
+    h.floats(tp.grid());
+
+    h.mlp(scene.deferred_mlp());
+
+    let kn = scene.kilonerf();
+    h.word(kn.resolution());
+    h.len(kn.assignment().len());
+    for &a in kn.assignment() {
+        h.word(a);
+    }
+    h.len(kn.mlps().len());
+    for mlp in kn.mlps() {
+        h.mlp(mlp);
+    }
+    h.0
+}
+
+#[test]
+fn golden_scene_bakes_to_its_golden_hash() {
+    let scene = SceneSpec::demo("golden", GOLDEN_SEED)
+        .with_detail(GOLDEN_DETAIL)
+        .bake();
+    let actual = bake_hash(&scene);
+    if std::env::var("UNI_RENDER_BLESS").is_ok_and(|v| v == "1") {
+        println!("const GOLDEN_BAKE: u64 = {actual:#018x};");
+        return;
+    }
+    assert_eq!(
+        actual, GOLDEN_BAKE,
+        "baked scene data changed — if intentional, re-bless with \
+         UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture"
+    );
 }
 
 #[test]
