@@ -19,9 +19,10 @@ use crate::synthetic::SceneSpec;
 use crate::triplane::{PlaneAxis, Triplane};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use uni_geometry::camera::Orbit;
 use uni_geometry::sampling::XorShift64;
-use uni_geometry::{sh, Aabb, Vec2, Vec3};
+use uni_geometry::{sh, Aabb, FlatMat, Rgb, Vec2, Vec3};
 
 /// Number of feature channels baked everywhere:
 /// `[diffuse r, g, b, specular, nx, ny, nz, occupancy]`.
@@ -254,12 +255,17 @@ fn surface_features(field: &AnalyticField, p: Vec3) -> [f32; FEATURE_CHANNELS as
 }
 
 /// Bakes the texture atlas by forward-splatting triangle samples.
+///
+/// Each sample overwrites its texel, so only the last sample to land on
+/// a texel decides its value. The first pass finds that sample for every
+/// texel; the second shades only those, once each.
 fn bake_texture(mesh: &TriangleMesh, field: &AnalyticField, resolution: u32) -> Texture2d {
     let mut tex = Texture2d::new(resolution, resolution, FEATURE_CHANNELS);
     if mesh.triangle_count() == 0 {
         return tex;
     }
     let res = resolution as f32;
+    let mut last_sample: Vec<Option<Vec3>> = vec![None; (resolution * resolution) as usize];
     for t in 0..mesh.triangle_count() {
         let [a, b, c] = mesh.triangle(t);
         let [ua, ub, uc] = mesh.triangle_uvs(t);
@@ -276,7 +282,13 @@ fn bake_texture(mesh: &TriangleMesh, field: &AnalyticField, resolution: u32) -> 
             let uv = ua * w0 + ub * w1 + uc * w2;
             let x = ((uv.x * res) as u32).min(resolution - 1);
             let y = ((uv.y * res) as u32).min(resolution - 1);
-            tex.set_texel(x, y, &surface_features(field, p));
+            last_sample[(y * resolution + x) as usize] = Some(p);
+        }
+    }
+    for (i, p) in last_sample.into_iter().enumerate() {
+        if let Some(p) = p {
+            let i = i as u32;
+            tex.set_texel(i % resolution, i / resolution, &surface_features(field, p));
         }
     }
     dilate(&mut tex);
@@ -287,11 +299,14 @@ fn bake_texture(mesh: &TriangleMesh, field: &AnalyticField, resolution: u32) -> 
 /// occupied 4-neighbor, so bilinear fetches near seams stay meaningful.
 fn dilate(tex: &mut Texture2d) {
     let (w, h, c) = (tex.width(), tex.height(), tex.channels() as usize);
+    let texel = |x: u32, y: u32| (y * w + x) as usize * c;
+    let mut snapshot = Vec::with_capacity(tex.data().len());
     for _ in 0..2 {
-        let snapshot = tex.clone();
+        snapshot.clear();
+        snapshot.extend_from_slice(tex.data());
         for y in 0..h {
             for x in 0..w {
-                if snapshot.texel(x, y)[c - 1] > 0.0 {
+                if snapshot[texel(x, y) + c - 1] > 0.0 {
                     continue;
                 }
                 let neighbors = [
@@ -301,9 +316,9 @@ fn dilate(tex: &mut Texture2d) {
                     (x, y + 1),
                 ];
                 for (nx, ny) in neighbors {
-                    if nx < w && ny < h && snapshot.texel(nx, ny)[c - 1] > 0.0 {
-                        let v = snapshot.texel(nx, ny).to_vec();
-                        tex.set_texel(x, y, &v);
+                    if nx < w && ny < h && snapshot[texel(nx, ny) + c - 1] > 0.0 {
+                        let i = texel(nx, ny);
+                        tex.set_texel(x, y, &snapshot[i..i + c]);
                         break;
                     }
                 }
@@ -380,16 +395,20 @@ fn bake_gaussians(
             Vec3::new(r * phi.cos(), y, r * phi.sin())
         })
         .collect();
-    let mut basis = vec![0f32; n_coeffs];
+    let mut bases = FlatMat::zeros(n_dirs, n_coeffs);
+    for (i, d) in dirs.iter().enumerate() {
+        sh::eval_basis(*d, bases.row_mut(i));
+    }
+    let w = 4.0 * std::f32::consts::PI / n_dirs as f32;
+    let mut colors = vec![Rgb::BLACK; n_dirs];
 
     for _ in 0..count {
         let (p, normal) = sample_surface(mesh, &areas, rng);
+        field.sample_views(p, &dirs, &mut colors);
         // SH-project radiance: c_i = (4π/N) Σ_d (L(d) - 0.5) b_i(d).
         let mut coeffs = vec![0f32; 3 * n_coeffs];
-        for d in &dirs {
-            let color = field.sample(p, *d).color;
-            sh::eval_basis(*d, &mut basis);
-            let w = 4.0 * std::f32::consts::PI / n_dirs as f32;
+        for (d, color) in colors.iter().enumerate() {
+            let basis = bases.row(d);
             for i in 0..n_coeffs {
                 coeffs[i] += (color.r - 0.5) * basis[i] * w;
                 coeffs[n_coeffs + i] += (color.g - 0.5) * basis[i] * w;
@@ -422,7 +441,11 @@ fn bake_hashgrid(
     }
     let areas = cumulative_areas(mesh);
     let samples = (mesh.triangle_count() as u32 * 3).clamp(1_024, 400_000);
-    let mut seen: HashSet<(u32, u32, u32, u32)> = HashSet::new();
+    // About 40% of corner visits are first visits; room for half of them
+    // means the set never rehashes.
+    let corner_visits = samples as usize * config.levels as usize * 8;
+    let mut seen: HashSet<(u32, u32, u32, u32), BuildHasherDefault<VertexHasher>> =
+        HashSet::with_capacity_and_hasher(corner_visits / 2, Default::default());
     let shell = bounds.diagonal() * 0.01;
 
     for s in 0..samples {
@@ -451,8 +474,8 @@ fn bake_hashgrid(
                     y as f32 / (res - 1) as f32,
                     z as f32 / (res - 1) as f32,
                 ));
-                let a = field.attributes(vw);
-                let density = field.density(vw) / PEAK_DENSITY;
+                let (a, density) = field.attributes_and_density(vw);
+                let density = density / PEAK_DENSITY;
                 grid.write_vertex(
                     l,
                     x,
@@ -464,6 +487,36 @@ fn bake_hashgrid(
         }
     }
     grid
+}
+
+/// A multiply-rotate (FxHash-style) hasher for [`bake_hashgrid`]'s vertex
+/// set, far cheaper than the default SipHash on its 4×`u32` keys. The set
+/// is only probed, never iterated, so the hash function cannot change
+/// what the bake writes; its keys are grid coordinates the bake computes,
+/// never outside input, so SipHash's collision resistance buys nothing.
+#[derive(Default)]
+struct VertexHasher(u64);
+
+impl VertexHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for VertexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Trains the hash-feature decoder MLP (`L×F → [σ/peak, r, g, b]`).
@@ -490,8 +543,8 @@ fn train_hash_decoder(
     let mut trainer = AdamTrainer::new(&mlp, 3e-3);
     let mut feats = vec![0f32; in_dim];
     let batch = 48;
-    let mut inputs = uni_geometry::FlatMat::with_row_capacity(batch, in_dim);
-    let mut targets = uni_geometry::FlatMat::with_row_capacity(batch, 4);
+    let mut inputs = FlatMat::with_row_capacity(batch, in_dim);
+    let mut targets = FlatMat::with_row_capacity(batch, 4);
     for _ in 0..steps {
         inputs.clear_rows();
         targets.clear_rows();
@@ -503,10 +556,10 @@ fn train_hash_decoder(
                 p + n * rng.range_f32(-shell, shell)
             };
             grid.fetch(p, &mut feats);
-            let a = field.attributes(p);
+            let (a, density) = field.attributes_and_density(p);
             inputs.push_row(&feats);
             targets.push_row(&[
-                field.density(p) / PEAK_DENSITY,
+                density / PEAK_DENSITY,
                 a.diffuse.r,
                 a.diffuse.g,
                 a.diffuse.b,
@@ -541,8 +594,8 @@ fn bake_triplane(
                     y as f32 / (r - 1).max(1) as f32,
                     z as f32 / (r - 1).max(1) as f32,
                 ));
-                let a = field.attributes(p);
-                let density = field.density(p) / PEAK_DENSITY;
+                let (a, density) = field.attributes_and_density(p);
+                let density = density / PEAK_DENSITY;
                 v.fill(0.0);
                 v[0] = 0.5 * density;
                 v[1] = 0.5 * a.diffuse.r;
@@ -566,8 +619,8 @@ fn bake_triplane(
         for _ in 0..samples {
             let (p, _) = sample_surface(mesh, &areas, rng);
             let u = bounds.normalize_point(p).clamp(0.0, 1.0);
-            let a = field.attributes(p);
-            let density = field.density(p) / PEAK_DENSITY;
+            let (a, density) = field.attributes_and_density(p);
+            let density = density / PEAK_DENSITY;
             v.fill(0.0);
             let third = 0.5 / 3.0;
             v[0] = third * density;
@@ -596,8 +649,8 @@ fn train_deferred_mlp(steps: u32, rng: &mut XorShift64) -> Mlp {
     let light = LIGHT_DIR.normalized();
     let mut trainer = AdamTrainer::new(&mlp, 4e-3);
     let batch = 64;
-    let mut inputs = uni_geometry::FlatMat::with_row_capacity(batch, 7);
-    let mut targets = uni_geometry::FlatMat::with_row_capacity(batch, 3);
+    let mut inputs = FlatMat::with_row_capacity(batch, 7);
+    let mut targets = FlatMat::with_row_capacity(batch, 3);
     for _ in 0..steps.max(32) {
         inputs.clear_rows();
         targets.clear_rows();

@@ -161,21 +161,46 @@ impl AnalyticField {
     /// strength, and normal). Returns background-colored attributes when the
     /// field is empty.
     pub fn attributes(&self, p: Vec3) -> SurfaceAttrs {
+        self.attributes_and_density(p).0
+    }
+
+    /// [`AnalyticField::attributes`] and [`AnalyticField::density`] at `p`
+    /// from one SDF pass.
+    ///
+    /// Hoisting contract: each value is computed by the same expressions,
+    /// in the same order, as the two separate calls, so both halves equal
+    /// them bit for bit.
+    pub(crate) fn attributes_and_density(&self, p: Vec3) -> (SurfaceAttrs, f32) {
+        let (d, idx) = self.sdf(p);
+        let density = self.density_at_distance(d);
         if self.primitives.is_empty() {
-            return SurfaceAttrs {
+            let attrs = SurfaceAttrs {
                 diffuse: self.background,
                 specular: 0.0,
                 normal: Vec3::Y,
             };
+            return (attrs, density);
         }
-        let (_, idx) = self.sdf(p);
+        let lit = self.lit(p, idx);
+        let attrs = SurfaceAttrs {
+            diffuse: lit.ambient_diffuse.saturate(),
+            specular: lit.prim.specular,
+            normal: lit.normal,
+        };
+        (attrs, density)
+    }
+
+    /// The view-independent shading of `p`, whose nearest primitive is
+    /// `idx`: the primitive, its normal, and albedo under ambient plus
+    /// the key light's diffuse term.
+    fn lit(&self, p: Vec3, idx: usize) -> Lit<'_> {
         let prim = &self.primitives[idx];
-        let n = self.normal(p);
-        let diffuse = prim.albedo * (0.35 + 0.65 * n.dot(LIGHT_DIR.normalized()).max(0.0));
-        SurfaceAttrs {
-            diffuse: diffuse.saturate(),
-            specular: prim.specular,
-            normal: n,
+        let normal = self.normal(p);
+        let diffuse = normal.dot(LIGHT_DIR.normalized()).max(0.0);
+        Lit {
+            prim,
+            normal,
+            ambient_diffuse: prim.albedo * (0.35 + 0.65 * diffuse),
         }
     }
 
@@ -240,7 +265,11 @@ impl AnalyticField {
 
     /// Volumetric density at `p` (soft shell around the SDF zero set).
     pub fn density(&self, p: Vec3) -> f32 {
-        let (d, _) = self.sdf(p);
+        self.density_at_distance(self.sdf(p).0)
+    }
+
+    /// Density at signed distance `d` from the nearest surface.
+    fn density_at_distance(&self, d: f32) -> f32 {
         // Logistic falloff: ~peak inside, ~0 one shell-width outside.
         self.peak_density / (1.0 + (d * self.sharpness).exp())
     }
@@ -248,33 +277,59 @@ impl AnalyticField {
     /// Samples density and view-dependent radiance at `p` looking along
     /// `view_dir` (pointing *away* from the camera).
     pub fn sample(&self, p: Vec3, view_dir: Vec3) -> FieldSample {
-        let (d, idx) = self.sdf(p);
-        let density = self.peak_density / (1.0 + (d * self.sharpness).exp());
-        if density < 1e-4 || self.primitives.is_empty() {
-            return FieldSample {
-                density,
-                color: self.background,
-            };
-        }
-        let prim = &self.primitives[idx];
-        let n = self.normal(p);
-        // Fixed key light plus ambient; Blinn-style specular lobe driven by
-        // the primitive's specular tint gives genuine view dependence.
-        let light_dir = LIGHT_DIR.normalized();
-        let diffuse = n.dot(light_dir).max(0.0);
-        let half = (light_dir - view_dir).normalized();
-        let spec = n.dot(half).max(0.0).powi(16) * prim.specular;
-        let lit = prim.albedo * (0.35 + 0.65 * diffuse) + Rgb::WHITE * spec;
+        let mut color = [self.background];
+        let density = self.sample_views(p, &[view_dir], &mut color);
         FieldSample {
             density,
-            color: lit.saturate(),
+            color: color[0],
         }
     }
+
+    /// Shades `p` once for many views: writes the radiance toward each
+    /// `view_dirs[i]` into `colors[i]` and returns the density.
+    ///
+    /// Hoisting contract: the SDF, density, nearest primitive, normal and
+    /// diffuse term are computed once for all views, by the same
+    /// expressions in the same order as [`AnalyticField::sample`] (which
+    /// delegates here), so every color equals `sample(p, view_dirs[i])`
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `colors` and `view_dirs` differ in length.
+    pub(crate) fn sample_views(&self, p: Vec3, view_dirs: &[Vec3], colors: &mut [Rgb]) -> f32 {
+        assert_eq!(view_dirs.len(), colors.len(), "one color per view");
+        let (d, idx) = self.sdf(p);
+        let density = self.density_at_distance(d);
+        if density < 1e-4 || self.primitives.is_empty() {
+            colors.fill(self.background);
+            return density;
+        }
+        // Fixed key light plus ambient; Blinn-style specular lobe driven by
+        // the primitive's specular tint gives genuine view dependence.
+        let lit = self.lit(p, idx);
+        let light_dir = LIGHT_DIR.normalized();
+        for (color, &view_dir) in colors.iter_mut().zip(view_dirs) {
+            let half = (light_dir - view_dir).normalized();
+            let spec = lit.normal.dot(half).max(0.0).powi(16) * lit.prim.specular;
+            *color = (lit.ambient_diffuse + Rgb::WHITE * spec).saturate();
+        }
+        density
+    }
+}
+
+/// The view-independent shading terms at one point (see
+/// [`AnalyticField::sample_views`]).
+struct Lit<'a> {
+    prim: &'a FieldPrimitive,
+    normal: Vec3,
+    ambient_diffuse: Rgb,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uni_geometry::sampling::XorShift64;
 
     fn two_sphere_field() -> AnalyticField {
         AnalyticField::new(vec![
@@ -295,6 +350,125 @@ mod tests {
                 specular: 0.0,
             },
         ])
+    }
+
+    /// Every shape kind, so the parity tests cross each SDF branch.
+    fn mixed_field() -> AnalyticField {
+        let prim = |shape, albedo, specular| FieldPrimitive {
+            shape,
+            albedo,
+            specular,
+        };
+        AnalyticField::new(vec![
+            prim(Shape::Ground { level: -1.0 }, Rgb::new(0.4, 0.5, 0.3), 0.1),
+            prim(
+                Shape::Box {
+                    center: Vec3::new(-1.5, 0.0, 0.5),
+                    half: Vec3::new(0.6, 0.9, 0.4),
+                },
+                Rgb::new(0.7, 0.6, 0.2),
+                0.8,
+            ),
+            prim(
+                Shape::Cylinder {
+                    center: Vec3::new(1.2, -0.2, -0.8),
+                    radius: 0.5,
+                    half_height: 0.8,
+                },
+                Rgb::new(0.2, 0.3, 0.9),
+                0.4,
+            ),
+            prim(
+                Shape::Sphere {
+                    center: Vec3::new(0.0, 0.6, 0.0),
+                    radius: 0.7,
+                },
+                Rgb::new(0.9, 0.1, 0.1),
+                1.0,
+            ),
+        ])
+    }
+
+    /// Seeded points: a third near the shapes, the rest far outside them
+    /// (where density drops below the shading cutoff).
+    fn parity_points(rng: &mut XorShift64) -> Vec<Vec3> {
+        (0..300)
+            .map(|i| {
+                let r = if i % 3 == 0 { 2.5 } else { 60.0 };
+                Vec3::new(
+                    rng.range_f32(-r, r),
+                    rng.range_f32(-r, r),
+                    rng.range_f32(-r, r),
+                )
+            })
+            .collect()
+    }
+
+    fn rgb_bits(c: Rgb) -> [u32; 3] {
+        [c.r.to_bits(), c.g.to_bits(), c.b.to_bits()]
+    }
+
+    fn vec_bits(v: Vec3) -> [u32; 3] {
+        [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+    }
+
+    #[test]
+    fn sample_views_matches_sample_bit_for_bit() {
+        let mut rng = XorShift64::new(0x5EED);
+        for field in [
+            two_sphere_field(),
+            mixed_field(),
+            AnalyticField::new(vec![]),
+        ] {
+            let (mut shaded, mut cut_off) = (0, 0);
+            for p in parity_points(&mut rng) {
+                let dirs: Vec<Vec3> = (0..7)
+                    .map(|_| {
+                        Vec3::new(
+                            rng.range_f32(-1.0, 1.0),
+                            rng.range_f32(-1.0, 1.0),
+                            rng.range_f32(-1.0, 1.0),
+                        )
+                        .normalized()
+                    })
+                    .collect();
+                let mut colors = vec![Rgb::BLACK; dirs.len()];
+                let density = field.sample_views(p, &dirs, &mut colors);
+                for (&d, &color) in dirs.iter().zip(&colors) {
+                    let one = field.sample(p, d);
+                    assert_eq!(density.to_bits(), one.density.to_bits(), "{p:?}");
+                    assert_eq!(rgb_bits(color), rgb_bits(one.color), "{p:?} {d:?}");
+                }
+                if density < 1e-4 {
+                    cut_off += 1;
+                } else {
+                    shaded += 1;
+                }
+            }
+            assert!(cut_off > 0, "far points exercise the density cutoff");
+            if !field.primitives().is_empty() {
+                assert!(shaded > 0, "near points exercise shading");
+            }
+        }
+    }
+
+    #[test]
+    fn attributes_and_density_match_the_separate_calls_bit_for_bit() {
+        let mut rng = XorShift64::new(0xA77E);
+        for field in [
+            two_sphere_field(),
+            mixed_field(),
+            AnalyticField::new(vec![]),
+        ] {
+            for p in parity_points(&mut rng) {
+                let (attrs, density) = field.attributes_and_density(p);
+                let alone = field.attributes(p);
+                assert_eq!(density.to_bits(), field.density(p).to_bits(), "{p:?}");
+                assert_eq!(rgb_bits(attrs.diffuse), rgb_bits(alone.diffuse), "{p:?}");
+                assert_eq!(attrs.specular.to_bits(), alone.specular.to_bits());
+                assert_eq!(vec_bits(attrs.normal), vec_bits(alone.normal), "{p:?}");
+            }
+        }
     }
 
     #[test]
