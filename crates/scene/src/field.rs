@@ -167,9 +167,11 @@ impl AnalyticField {
     /// [`AnalyticField::attributes`] and [`AnalyticField::density`] at `p`
     /// from one SDF pass.
     ///
-    /// Hoisting contract: each value is computed by the same expressions,
-    /// in the same order, as the two separate calls, so both halves equal
-    /// them bit for bit.
+    /// Hoisting contract: the density goes through the same expressions as
+    /// [`AnalyticField::density`], and the attributes through the same
+    /// view-independent shading terms as [`AnalyticField::sample`], in the
+    /// same order, so the pair equals `(attributes(p), density(p))` bit
+    /// for bit.
     pub(crate) fn attributes_and_density(&self, p: Vec3) -> (SurfaceAttrs, f32) {
         let (d, idx) = self.sdf(p);
         let density = self.density_at_distance(d);
