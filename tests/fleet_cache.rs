@@ -5,8 +5,9 @@
 //! sequence reproduces the same evictions, bakes, and bits at any
 //! worker count; (2) an evicted scene rebakes bit-identically (baking
 //! is seeded purely from the spec), so evict-then-rebake round-trips
-//! the served stream exactly; and (3) every cache counter is
-//! predictable by a manual replay of the routing decisions.
+//! the served stream exactly; (3) every cache counter is predictable
+//! by a manual replay of the routing decisions; and (4) admission
+//! control keeps deadlines whether or not the cache must evict.
 //!
 //! Every test takes `common::env_lock` because they pin the
 //! process-wide worker count.
@@ -191,4 +192,78 @@ proptest! {
         prop_assert_eq!(summary.delivered_frames, waves.len() * FRAMES_PER_WAVE);
         prop_assert_eq!(summary.delivered_frames, slot as usize);
     }
+}
+
+/// Waves over scenes `[0, 1, 2, 0]`, each offering two deadline-bound
+/// 4-frame 24×16 sessions through `try_admit` and draining before the
+/// next. `frame_seconds` (the calibrated mean frame sim-time) primes
+/// the admission prior and sets a period of four frames; `None` is the
+/// deadline-free calibration pass.
+fn admitted_waves(capacity: usize, frame_seconds: Option<f64>) -> FleetSummary {
+    let mut fleet = ServerFleet::new(SceneCacheConfig {
+        max_resident: capacity,
+        max_bytes: None,
+    })
+    .with_accelerator_config(AcceleratorConfig::paper())
+    .with_policy_factory(|| Box::new(EarliestDeadline::new()))
+    .with_lanes(2);
+    if let Some(prior) = frame_seconds {
+        fleet = fleet.with_admission_control(AdmissionControl::new().frame_cost_prior(prior));
+    }
+    for (wave, &scene) in [0usize, 1, 2, 0].iter().enumerate() {
+        for session in 2 * wave..2 * wave + 2 {
+            // The gaussian/mesh/hashgrid/mlp mix.
+            let pipeline = [4, 0, 3, 1][session % 4];
+            let orbit = spec(scene).orbit(24, 16);
+            let mut request = FleetSessionRequest::new(
+                move || renderer(pipeline),
+                CameraPath::orbit_arc(orbit, 0.4 * session as f32, 1.6, 4),
+            );
+            if let Some(seconds) = frame_seconds {
+                request = request.deadline_hz(1.0 / (4.0 * seconds));
+            }
+            let _ = fleet.try_admit(&spec(scene), request);
+        }
+        fleet.run();
+    }
+    fleet.summary()
+}
+
+/// Admission holds under eviction pressure: with every scene resident
+/// nothing is evicted; one slot short, the third scene evicts and the
+/// revisit rebakes. Either way the sessions admission let in miss fewer
+/// than 5% of their deadlines.
+#[test]
+fn admitted_sessions_keep_their_deadlines_under_eviction_pressure() {
+    let _guard = env_lock();
+    with_threads("1", || {
+        let calibration = admitted_waves(3, None);
+        let seconds: f64 = calibration
+            .shards
+            .iter()
+            .flat_map(|shard| shard.servers.iter())
+            .map(|server| server.total_seconds)
+            .sum();
+        let frame_seconds = seconds / calibration.delivered_frames.max(1) as f64;
+        for capacity in [3, 2] {
+            let summary = admitted_waves(capacity, Some(frame_seconds));
+            assert!(summary.is_consistent());
+            if capacity < 3 {
+                assert!(
+                    summary.cache.evictions > 0,
+                    "capacity {capacity} must evict"
+                );
+                assert!(summary.cache.rebakes > 0, "the revisit must rebake");
+            } else {
+                assert_eq!(summary.cache.evictions, 0, "full capacity never evicts");
+            }
+            assert!(summary.delivered_frames > 0, "admission refused every wave");
+            assert!(
+                summary.deadline_miss_rate() < 0.05,
+                "capacity {capacity}: admitted sessions missed {} of {} frames",
+                summary.deadline_misses,
+                summary.delivered_frames
+            );
+        }
+    });
 }
