@@ -206,7 +206,7 @@ impl LoadView {
 ///   priority) can leave it unbounded and enjoy full lane overlap.
 pub trait SchedulePolicy: Send {
     /// Short machine-readable policy name (reported in
-    /// [`uni_microops::ServerSummary::policy`] and `BENCH_serve.json`).
+    /// [`uni_microops::ServerSummary::policy`]).
     fn name(&self) -> &'static str;
 
     /// Picks the session whose next frame should occupy slot
