@@ -196,7 +196,9 @@ struct SessionState {
 
 /// Scheduler-side bookkeeping for one session.
 struct SessionSlot {
-    state: Arc<Mutex<SessionState>>,
+    /// The renderer, path, frame pool and replay scratch; `None` once the
+    /// session has retired (see [`SessionSlot::retire`]).
+    state: Option<Arc<Mutex<SessionState>>>,
     /// Pipeline family (cached from the renderer; policies and the
     /// boundary meter consume it without locking the state).
     pipeline: Pipeline,
@@ -237,8 +239,11 @@ struct SessionSlot {
     /// hand).
     epoch_anchored: bool,
     /// Sim-seconds charged to each delivered frame (execution plus the
-    /// boundary reconfiguration entering it), in delivery order — the
-    /// population the p50/p99 latency stats summarize.
+    /// boundary reconfiguration entering it), one entry per delivery
+    /// while the session is live — the population the p50/p99 latency
+    /// stats summarize. Sorted, summarized into
+    /// [`SessionSlot::stats`] and released when the session retires;
+    /// empty from then on.
     latencies: Vec<f64>,
     /// Resolution halvings applied to frames dispatched from now on
     /// (0 = native). Changed only by [`SessionSlot::staged_shift`]
@@ -263,6 +268,59 @@ impl SessionSlot {
     /// Whether the scheduler may still dispatch frames of this session.
     fn schedulable(&self) -> bool {
         self.active && !self.closed && self.scheduled < self.len
+    }
+
+    /// Frames the session contributes to the server's frame total: the
+    /// scheduled prefix once a close has applied, otherwise the whole
+    /// path.
+    fn frame_total(&self) -> usize {
+        if self.closed {
+            self.scheduled
+        } else {
+            self.len
+        }
+    }
+
+    /// Whether every per-tick pass is a no-op for this session from now
+    /// on: it has joined the schedule, will never be dispatched again
+    /// (closed or path exhausted), has no frame in flight, and has no
+    /// staged close, shift or skip and no pending skips left to apply.
+    fn retirable(&self) -> bool {
+        self.active
+            && (self.closed || self.scheduled >= self.len)
+            && !self.in_flight
+            && (self.closed || self.closed_from.is_none())
+            && self.staged_shift.is_none()
+            && self.staged_skip.is_none()
+            && self.skips_pending == 0
+    }
+
+    /// The session's stats so far, completed with the pool's allocation
+    /// counter and the latency percentiles over its delivered frames. A
+    /// retired slot has no state and no latencies left: its stats
+    /// already hold both, frozen by [`SessionSlot::retire`].
+    fn current_stats(&self) -> SessionStats {
+        let mut stats = self.stats.clone();
+        if let Some(state) = &self.state {
+            stats.framebuffer_allocations = state.lock().expect("session state").pool.allocations();
+        }
+        stats.resolution_shift = self.staged_shift.map_or(self.res_shift, |(_, s)| s);
+        if !self.latencies.is_empty() {
+            let mut sorted = self.latencies.clone();
+            sorted.sort_by(f64::total_cmp);
+            stats.latency_p50 = percentile(&sorted, 50.0);
+            stats.latency_p99 = percentile(&sorted, 99.0);
+        }
+        stats
+    }
+
+    /// Freezes [`SessionSlot::current_stats`] into
+    /// [`SessionSlot::stats`], then drops the session's state and its
+    /// latency samples.
+    fn retire(&mut self) {
+        self.stats = self.current_stats();
+        self.state = None;
+        self.latencies = Vec::new();
     }
 
     /// Absolute sim-time deadline of the session's frame `index`
@@ -503,7 +561,27 @@ struct Pending {
 /// A multi-session render server over one shared baked scene.
 ///
 /// See the [module docs](self) for the scheduling and accounting
-/// contract. Typical use:
+/// contract.
+///
+/// # Session retirement
+///
+/// Per-tick work and per-session memory follow the *live* sessions, not
+/// every session ever admitted. A session **retires** right after a
+/// delivery once it has joined the schedule, is closed or has its whole
+/// path scheduled, has no frame in flight, and has no staged close,
+/// resolution shift or frame skip and no pending skips — the point from
+/// which no tick can change it. Retiring freezes its
+/// [`SessionStats::framebuffer_allocations`],
+/// [`SessionStats::latency_p50`] and [`SessionStats::latency_p99`] at
+/// their final values and releases its renderer, camera path, frame
+/// pool, replay scratch and latency samples. Its id stays valid: it
+/// still counts in [`RenderServer::session_count`], appears in
+/// [`RenderServer::summary`] and answers
+/// [`RenderServer::session_stats`] and
+/// [`RenderServer::session_drained`]. Retirement never changes a
+/// schedule, a delivered frame or a statistic.
+///
+/// Typical use:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -541,6 +619,13 @@ pub struct RenderServer {
     scene: Arc<BakedScene>,
     accel: Option<Arc<Accelerator>>,
     sessions: Vec<SessionSlot>,
+    /// Ids of the sessions that have not retired, ascending — what every
+    /// per-tick pass iterates, so a tick costs O(live sessions).
+    live: Vec<usize>,
+    /// [`SessionSlot::frame_total`] summed over retired sessions (frozen
+    /// at retirement), so [`RenderServer::remaining`] stays exact
+    /// without visiting them.
+    retired_frames: usize,
     policy: Box<dyn SchedulePolicy>,
     lookahead: usize,
     lanes_requested: usize,
@@ -593,6 +678,8 @@ impl RenderServer {
             scene: scene.into(),
             accel: None,
             sessions: Vec::new(),
+            live: Vec::new(),
+            retired_frames: 0,
             policy: Box::new(RoundRobin::new()),
             lookahead: DEFAULT_LOOKAHEAD,
             lanes_requested: uni_parallel::worker_count(),
@@ -769,14 +856,15 @@ impl RenderServer {
         stats.priority = priority;
         stats.deadline_hz = deadline_hz;
         stats.label = label;
+        self.live.push(id);
         self.sessions.push(SessionSlot {
             len: path.len(),
-            state: Arc::new(Mutex::new(SessionState {
+            state: Some(Arc::new(Mutex::new(SessionState {
                 renderer,
                 path,
                 pool: FramePool::new(),
                 replay: ReplayScratch::default(),
-            })),
+            }))),
             pipeline,
             scheduled: 0,
             in_flight: false,
@@ -829,11 +917,13 @@ impl RenderServer {
         // Live load: sessions that will still demand frames — active or
         // staged, not closed (and not closing), path not exhausted.
         let live: Vec<usize> = self
-            .sessions
+            .live
             .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.closed && s.closed_from.is_none() && s.scheduled < s.len)
-            .map(|(id, _)| id)
+            .copied()
+            .filter(|&id| {
+                let s = &self.sessions[id];
+                !s.closed && s.closed_from.is_none() && s.scheduled < s.len
+            })
             .collect();
         let candidate_pipeline = request.renderer.pipeline();
         let candidate_period = request
@@ -880,9 +970,12 @@ impl RenderServer {
             (s.len - s.scheduled + s.skips_pending, id)
         });
         let queued = self
-            .sessions
+            .live
             .iter()
-            .filter(|s| !s.active && s.closed_from.is_none() && !s.closed)
+            .filter(|&&id| {
+                let s = &self.sessions[id];
+                !s.active && s.closed_from.is_none() && !s.closed
+            })
             .count();
         for peeled in 1..=by_drain.len() {
             let rest: Vec<usize> = by_drain[peeled..].to_vec();
@@ -962,7 +1055,8 @@ impl RenderServer {
         Arc::clone(&self.scene)
     }
 
-    /// Number of admitted sessions (including staged and closed ones).
+    /// Number of admitted sessions, including staged, closed and retired
+    /// ones — ids are dense and never reused.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
     }
@@ -976,20 +1070,21 @@ impl RenderServer {
     /// close is pending this is an upper bound (frames it will cancel
     /// are still counted); once applied the count is exact.
     pub fn remaining(&self) -> usize {
-        let total: usize = self
-            .sessions
+        let live: usize = self
+            .live
             .iter()
-            .map(|s| if s.closed { s.scheduled } else { s.len })
+            .map(|&id| self.sessions[id].frame_total())
             .sum();
-        total - self.delivered
+        self.retired_frames + live - self.delivered
     }
 
     /// Statistics for one session: its delivered share of the schedule
-    /// so far. `None` for unknown handles.
+    /// so far. For a retired session (see
+    /// [Session retirement](RenderServer#session-retirement)) these are
+    /// final, with the allocation count and latency percentiles frozen
+    /// at retirement. `None` for unknown handles.
     pub fn session_stats(&self, handle: SessionHandle) -> Option<SessionStats> {
-        self.sessions
-            .get(handle.0)
-            .map(|slot| self.slot_stats(slot))
+        self.sessions.get(handle.0).map(SessionSlot::current_stats)
     }
 
     /// Whether a session's stream is fully settled on this server: every
@@ -1012,10 +1107,10 @@ impl RenderServer {
     /// scene cache's eviction-safety check.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
-            && self
-                .sessions
-                .iter()
-                .all(|slot| (slot.closed || slot.scheduled >= slot.len) && !slot.in_flight)
+            && self.live.iter().all(|&id| {
+                let slot = &self.sessions[id];
+                (slot.closed || slot.scheduled >= slot.len) && !slot.in_flight
+            })
     }
 
     /// Returns a delivered frame's buffer to its session's pool, and
@@ -1037,6 +1132,8 @@ impl RenderServer {
             return false;
         }
         slot.state
+            .as_ref()
+            .expect("an unfinished session is live")
             .lock()
             .expect("session state")
             .pool
@@ -1154,6 +1251,7 @@ impl RenderServer {
         if let Some(slack) = deadline_slack {
             self.degrade_on_delivery(session, slack);
         }
+        self.retire_settled();
 
         Some(ServedFrame {
             session,
@@ -1243,13 +1341,13 @@ impl RenderServer {
             // fires with fewer than two live sessions: the last stream
             // degrades but keeps serving rather than self-destructing.
             let live: Vec<usize> = self
-                .sessions
+                .live
                 .iter()
-                .enumerate()
-                .filter(|(_, s)| {
+                .copied()
+                .filter(|&id| {
+                    let s = &self.sessions[id];
                     s.active && !s.closed && s.closed_from.is_none() && s.scheduled < s.len
                 })
-                .map(|(id, _)| id)
                 .collect();
             if live.len() >= 2 {
                 let victim = live
@@ -1285,7 +1383,7 @@ impl RenderServer {
         let per_session: Vec<SessionStats> = self
             .sessions
             .iter()
-            .map(|slot| self.slot_stats(slot))
+            .map(SessionSlot::current_stats)
             .collect();
         ServerSummary {
             per_session,
@@ -1307,20 +1405,22 @@ impl RenderServer {
         }
     }
 
-    /// One slot's stats, completed with the pool's allocation counter
-    /// and the latency percentiles over its delivered frames.
-    fn slot_stats(&self, slot: &SessionSlot) -> SessionStats {
-        let mut stats = slot.stats.clone();
-        stats.framebuffer_allocations =
-            slot.state.lock().expect("session state").pool.allocations();
-        stats.resolution_shift = slot.staged_shift.map_or(slot.res_shift, |(_, s)| s);
-        if !slot.latencies.is_empty() {
-            let mut sorted = slot.latencies.clone();
-            sorted.sort_by(f64::total_cmp);
-            stats.latency_p50 = percentile(&sorted, 50.0);
-            stats.latency_p99 = percentile(&sorted, 99.0);
-        }
-        stats
+    /// Retires every live session for which [`SessionSlot::retirable`]
+    /// holds: freezes its stats, releases its state, and drops it from
+    /// [`RenderServer::live`]. Runs after each delivery, once that
+    /// delivery's degradation decisions are staged.
+    fn retire_settled(&mut self) {
+        let sessions = &mut self.sessions;
+        let retired_frames = &mut self.retired_frames;
+        self.live.retain(|&id| {
+            let slot = &mut sessions[id];
+            if !slot.retirable() {
+                return true;
+            }
+            *retired_frames += slot.frame_total();
+            slot.retire();
+            false
+        });
     }
 
     /// The lane-invariant dispatch bound: how many frames may be
@@ -1338,7 +1438,8 @@ impl RenderServer {
     /// that stays deterministic).
     fn apply_staged(&mut self, slot_index: usize) -> bool {
         let mut changed = false;
-        for slot in &mut self.sessions {
+        for &id in &self.live {
+            let slot = &mut self.sessions[id];
             if !slot.active && slot.active_from <= slot_index {
                 slot.active = true;
                 changed = true;
@@ -1379,7 +1480,8 @@ impl RenderServer {
     fn refresh_views(&mut self) {
         let now = self.total_seconds;
         self.views.clear();
-        for (id, slot) in self.sessions.iter().enumerate() {
+        for &id in &self.live {
+            let slot = &self.sessions[id];
             if !slot.schedulable() {
                 continue;
             }
@@ -1464,7 +1566,7 @@ impl RenderServer {
             // current (staged-rule-applied) value — captured here so the
             // lane closure is a pure function of the dispatch decision.
             let res_shift = slot.res_shift;
-            let state = Arc::clone(&slot.state);
+            let state = Arc::clone(slot.state.as_ref().expect("a schedulable session is live"));
             let scene = Arc::clone(&self.scene);
             let accel = self.accel.clone();
             let pool = self.lane_pool.as_ref().expect("lane pool created above");
@@ -1508,7 +1610,8 @@ impl RenderServer {
     /// they leave index gaps in the served stream and advance the
     /// session's deadline ladder.
     fn consume_skips(&mut self) {
-        for slot in &mut self.sessions {
+        for &id in &self.live {
+            let slot = &mut self.sessions[id];
             if slot.skips_pending == 0 {
                 continue;
             }
@@ -1531,7 +1634,8 @@ impl RenderServer {
         let prior = self.admission.map_or(0.0, |c| c.frame_cost_prior);
         let mut view = LoadView::default();
         self.round_pipelines.clear();
-        for slot in &self.sessions {
+        for &id in &self.live {
+            let slot = &self.sessions[id];
             if !slot.schedulable() {
                 continue;
             }

@@ -206,10 +206,14 @@ pub struct SessionStats {
     pub worst_slack: Option<f64>,
     /// Median per-frame sim latency (seconds charged to one delivered
     /// frame: its simulated execution plus any boundary reconfiguration
-    /// paid entering it). 0 until something is simulated.
+    /// paid entering it). 0 until something is simulated. The engine's
+    /// `RenderServer` computes it from the session's samples while the
+    /// session is live and freezes it when the session retires (no frame
+    /// left to deliver), releasing the samples.
     pub latency_p50: f64,
     /// 99th-percentile per-frame sim latency (nearest-rank over the
     /// session's delivered frames). 0 until something is simulated.
+    /// Frozen at retirement with [`SessionStats::latency_p50`].
     pub latency_p99: f64,
     /// Frames of this session the server has delivered.
     pub frames: usize,
@@ -247,7 +251,9 @@ pub struct SessionStats {
     /// switch.
     pub boundary_switches_avoided: u64,
     /// Fresh framebuffer allocations this session's pool performed
-    /// (stays at 1 for a recycled fixed-resolution stream).
+    /// (stays at 1 for a recycled fixed-resolution stream). Read from
+    /// the live pool, and frozen when the engine's `RenderServer`
+    /// retires the session and drops the pool.
     pub framebuffer_allocations: u64,
 }
 
