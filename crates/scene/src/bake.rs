@@ -49,6 +49,8 @@ impl SceneSpec {
     ///
     /// Deterministic in the spec's seed. Cost scales with
     /// [`SceneSpec::with_detail`]; tests should use small detail factors.
+    /// The figure harnesses bake at `uni_bench::HARNESS_DETAIL` (0.12), and
+    /// the serving benchmark at 0.12 and 0.03.
     pub fn bake(&self) -> BakedScene {
         let field = self.build_field();
         let repr = self.scaled_repr();
@@ -426,8 +428,20 @@ fn bake_gaussians(
     cloud
 }
 
+/// Marks a [`bake_hashgrid`] table slot that no first-visited vertex
+/// claimed. Vertex coordinates never reach `u32::MAX`.
+const UNCLAIMED: [u32; 3] = [u32::MAX; 3];
+
 /// Bakes the multi-level hash grid from surface + volume samples, writing
-/// field attributes at every touched vertex (deduplicated).
+/// field attributes at touched vertices.
+///
+/// Each vertex write overwrites its whole table slot, and a hashed level
+/// maps many vertices to one slot, so only the last first-visited vertex
+/// to land on a slot decides its value. The draw pass consumes the RNG
+/// and the first-visit set in sampling order and keeps, per slot, the
+/// latest first-visited vertex (a revisit never re-claims a slot). The
+/// shade pass then evaluates the field once for each claimed slot. The
+/// per-slot record costs `levels × table_size × 12` bytes.
 fn bake_hashgrid(
     mesh: &TriangleMesh,
     field: &AnalyticField,
@@ -446,6 +460,8 @@ fn bake_hashgrid(
     let corner_visits = samples as usize * config.levels as usize * 8;
     let mut seen: HashSet<(u32, u32, u32, u32), BuildHasherDefault<VertexHasher>> =
         HashSet::with_capacity_and_hasher(corner_visits / 2, Default::default());
+    let table_size = config.table_size() as usize;
+    let mut last_vertex = vec![UNCLAIMED; config.levels as usize * table_size];
     let shell = bounds.diagonal() * 0.01;
 
     for s in 0..samples {
@@ -466,24 +482,30 @@ fn bake_hashgrid(
                 let x = cx.base as u32 + (corner & 1);
                 let y = cy.base as u32 + ((corner >> 1) & 1);
                 let z = cz.base as u32 + ((corner >> 2) & 1);
-                if !seen.insert((l, x, y, z)) {
-                    continue;
+                if seen.insert((l, x, y, z)) {
+                    last_vertex[l as usize * table_size + grid.slot(l, x, y, z)] = [x, y, z];
                 }
-                let vw = bounds.denormalize_point(Vec3::new(
-                    x as f32 / (res - 1) as f32,
-                    y as f32 / (res - 1) as f32,
-                    z as f32 / (res - 1) as f32,
-                ));
-                let (a, density) = field.attributes_and_density(vw);
-                let density = density / PEAK_DENSITY;
-                grid.write_vertex(
-                    l,
-                    x,
-                    y,
-                    z,
-                    &[density, a.diffuse.r, a.diffuse.g, a.diffuse.b],
-                );
             }
+        }
+    }
+
+    for (l, level) in (0..config.levels).zip(last_vertex.chunks_exact(table_size)) {
+        let res = config.level_resolution(l) + 1;
+        for &[x, y, z] in level.iter().filter(|&&v| v != UNCLAIMED) {
+            let vw = bounds.denormalize_point(Vec3::new(
+                x as f32 / (res - 1) as f32,
+                y as f32 / (res - 1) as f32,
+                z as f32 / (res - 1) as f32,
+            ));
+            let (a, density) = field.attributes_and_density(vw);
+            let density = density / PEAK_DENSITY;
+            grid.write_vertex(
+                l,
+                x,
+                y,
+                z,
+                &[density, a.diffuse.r, a.diffuse.g, a.diffuse.b],
+            );
         }
     }
     grid
@@ -813,6 +835,93 @@ mod tests {
             a.gaussians().gaussians[0].mean,
             b.gaussians().gaussians[0].mean
         );
+    }
+
+    /// Reference for [`bake_hashgrid`]: the same draws, but every
+    /// first-visited vertex is shaded and written at once, so later
+    /// vertices overwrite earlier ones slot by slot. Returns the grid
+    /// and the number of vertices it shaded.
+    fn shade_at_first_visit(
+        mesh: &TriangleMesh,
+        field: &AnalyticField,
+        config: crate::hashgrid::HashGridConfig,
+        bounds: Aabb,
+        rng: &mut XorShift64,
+    ) -> (HashGrid, usize) {
+        let mut grid = HashGrid::new(config, bounds);
+        let areas = cumulative_areas(mesh);
+        let samples = (mesh.triangle_count() as u32 * 3).clamp(1_024, 400_000);
+        let mut seen = HashSet::new();
+        let mut shaded = 0;
+        let shell = bounds.diagonal() * 0.01;
+        for s in 0..samples {
+            let p = if s % 7 == 0 {
+                bounds.denormalize_point(Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()))
+            } else {
+                let (p, n) = sample_surface(mesh, &areas, rng);
+                p + n * rng.range_f32(-shell, shell)
+            };
+            let u = bounds.normalize_point(p).clamp(0.0, 1.0);
+            for l in 0..config.levels {
+                let res = config.level_resolution(l) + 1;
+                let cx = uni_geometry::interp::cell_coord(u.x, res);
+                let cy = uni_geometry::interp::cell_coord(u.y, res);
+                let cz = uni_geometry::interp::cell_coord(u.z, res);
+                for corner in 0..8u32 {
+                    let x = cx.base as u32 + (corner & 1);
+                    let y = cy.base as u32 + ((corner >> 1) & 1);
+                    let z = cz.base as u32 + ((corner >> 2) & 1);
+                    if !seen.insert((l, x, y, z)) {
+                        continue;
+                    }
+                    let vw = bounds.denormalize_point(Vec3::new(
+                        x as f32 / (res - 1) as f32,
+                        y as f32 / (res - 1) as f32,
+                        z as f32 / (res - 1) as f32,
+                    ));
+                    let (a, density) = field.attributes_and_density(vw);
+                    let features = [
+                        density / PEAK_DENSITY,
+                        a.diffuse.r,
+                        a.diffuse.g,
+                        a.diffuse.b,
+                    ];
+                    grid.write_vertex(l, x, y, z, &features);
+                    shaded += 1;
+                }
+            }
+        }
+        (grid, shaded)
+    }
+
+    #[test]
+    fn hashgrid_bake_matches_shading_at_first_visit() {
+        let spec = SceneSpec::demo("hash-ref", 5).with_detail(0.02);
+        let field = spec.build_field();
+        let bounds = field.content_bounds().padded(0.25);
+        let mesh = tessellate(&field, bounds, spec.scaled_repr().target_triangles);
+        let all_hashed = crate::hashgrid::HashGridConfig {
+            levels: 4,
+            features_per_entry: 4,
+            log2_table_size: 10,
+            base_resolution: 16,
+            max_resolution: 64,
+        };
+        let tiny = crate::hashgrid::HashGridConfig::tiny();
+        assert!(tiny.level_is_dense(1) && !tiny.level_is_dense(2));
+        assert!(!all_hashed.level_is_dense(0));
+        for config in [tiny, all_hashed] {
+            let mut rng = XorShift64::new(41);
+            let baked = bake_hashgrid(&mesh, &field, config, bounds, &mut rng);
+            let mut ref_rng = XorShift64::new(41);
+            let (reference, shaded) =
+                shade_at_first_visit(&mesh, &field, config, bounds, &mut ref_rng);
+            let slots = reference.tables().len() / config.features_per_entry as usize;
+            assert!(shaded > slots, "slots are overwritten: {shaded} shades");
+            let bits = |g: &HashGrid| g.tables().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&baked), bits(&reference), "{config:?}");
+            assert_eq!(rng.next_u64(), ref_rng.next_u64(), "same RNG draws");
+        }
     }
 
     #[test]

@@ -149,8 +149,9 @@ impl SceneSpec {
     }
 
     /// Scales every representation size by `detail` (clamped to
-    /// `[0.01, 1]`). Tests use small detail for fast baking; benches use
-    /// `1.0`.
+    /// `[0.01, 1]`). Tests use small detail for fast baking; the figure
+    /// harnesses bake at `uni_bench::HARNESS_DETAIL` (0.12), and the
+    /// serving benchmark at 0.12 and 0.03.
     pub fn with_detail(mut self, detail: f32) -> Self {
         self.detail = detail.clamp(0.01, 1.0);
         self
