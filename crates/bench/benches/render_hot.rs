@@ -19,9 +19,9 @@ use criterion::{black_box, Criterion};
 use uni_bench::HARNESS_DETAIL;
 use uni_scene::SceneSpec;
 
-use uni_renderers::{GaussianPipeline, HashGridPipeline, MlpPipeline, Renderer};
+use uni_renderers::{GaussianPipeline, HashGridPipeline, LowRankPipeline, MlpPipeline, Renderer};
 
-const PIPELINES: [&str; 3] = ["gaussian", "hashgrid", "mlp"];
+const PIPELINES: [&str; 4] = ["gaussian", "hashgrid", "mlp", "lowrank"];
 
 fn main() {
     let scene = SceneSpec::demo("render-hot", 2024)
@@ -33,6 +33,7 @@ fn main() {
     let gaussian = GaussianPipeline::default();
     let hashgrid = HashGridPipeline::default();
     let mlp = MlpPipeline::default();
+    let lowrank = LowRankPipeline::default();
 
     let mut criterion = Criterion::default();
     let mut group = criterion.benchmark_group("render_hot");
@@ -54,6 +55,12 @@ fn main() {
         })
         .bench_function("mlp/optimized", |b| {
             b.iter(|| mlp.render(black_box(&scene), black_box(&camera)));
+        })
+        .bench_function("lowrank/scalar", |b| {
+            b.iter(|| lowrank.render_scalar(black_box(&scene), black_box(&camera)));
+        })
+        .bench_function("lowrank/optimized", |b| {
+            b.iter(|| lowrank.render(black_box(&scene), black_box(&camera)));
         });
     group.finish();
 

@@ -4,8 +4,11 @@
 //! Tab. II) reduce fetched features with exactly these weights; the hardware
 //! reduction network evaluates them as weighted adder trees (Figs. 11-12),
 //! so keeping the math here shared guarantees the functional renderer and
-//! the accelerator model agree on counts and values.
+//! the accelerator model agree on counts and values. [`blend_bilinear`]
+//! and [`blend_trilinear`] are the one wide corner-blend kernel pair every
+//! dense feature fetch (tri-plane, texture, hash grid) runs on.
 
+use crate::wide::{F32x4, F32x8};
 use serde::{Deserialize, Serialize};
 
 /// A cell coordinate decomposition: integer base index plus fractional part.
@@ -23,6 +26,7 @@ pub struct CellCoord {
 /// coordinate `u` in `[0, 1]` spans `resolution - 1` cells. The base index
 /// is clamped so `base + 1` is always a valid vertex, which matches how
 /// grid pipelines treat boundary samples.
+#[inline]
 // uni-lint: hot
 pub fn cell_coord(u: f32, resolution: u32) -> CellCoord {
     debug_assert!(resolution >= 2, "grids need at least 2 vertices per axis");
@@ -82,6 +86,149 @@ pub fn trilerp(c: [f32; 8], fx: f32, fy: f32, fz: f32) -> f32 {
         acc += c[i] * w[i];
     }
     acc
+}
+
+/// Where a corner blend's per-channel add chain starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Blend {
+    /// At `+0.0`: the same bits as `out.fill(0.0)` followed by
+    /// [`Blend::Accumulate`], without reading `out`.
+    FromZero,
+    /// At `out`'s own value: the blend is added onto `out`.
+    Accumulate,
+}
+
+/// Blends 4 grid corners into `out`: per channel, the corner sum
+/// `s = ((t0[c]·w0 + t1[c]·w1) + t2[c]·w2) + t3[c]·w3` is formed first and
+/// then added once, `out[c] = start + s` (`start` per [`Blend`]).
+///
+/// `table` holds `n`-wide feature entries back to back (`n = out.len()`:
+/// texels, grid vertices, hash slots), and corner `k` is entry
+/// `entries[k]`, in [`bilinear_weights`] order. This is the order of
+/// `*o += corners.map(|t| t[c] * w).sum::<f32>()`: an `f32` sum starts at
+/// `-0.0`, the additive identity, so starting at the first product gives
+/// the same bits. Channels run in [`F32x8`] chunks, then one [`F32x4`],
+/// then a scalar tail; every lane op is the scalar op, so the result is
+/// bit-identical to a per-channel loop at any channel count.
+///
+/// # Panics
+///
+/// Panics if a corner entry lies outside `table`.
+#[inline(always)]
+// uni-lint: hot
+pub fn blend_bilinear(
+    out: &mut [f32],
+    table: &[f32],
+    entries: [usize; 4],
+    w: [f32; 4],
+    blend: Blend,
+) {
+    let n = out.len();
+    let corner = |k: usize| &table[entries[k] * n..entries[k] * n + n];
+    let (a, b, c, d) = (corner(0), corner(1), corner(2), corner(3));
+    let from_zero = blend == Blend::FromZero;
+    let mut i = 0;
+    while i + 8 <= n {
+        let s = F32x8::load(&a[i..]) * F32x8::splat(w[0]);
+        let s = F32x8::load(&b[i..]).mul_add(F32x8::splat(w[1]), s);
+        let s = F32x8::load(&c[i..]).mul_add(F32x8::splat(w[2]), s);
+        let s = F32x8::load(&d[i..]).mul_add(F32x8::splat(w[3]), s);
+        let start = if from_zero {
+            F32x8::ZERO
+        } else {
+            F32x8::load(&out[i..])
+        };
+        (start + s).store(&mut out[i..]);
+        i += 8;
+    }
+    if i + 4 <= n {
+        let s = F32x4::load(&a[i..]) * F32x4::splat(w[0]);
+        let s = F32x4::load(&b[i..]).mul_add(F32x4::splat(w[1]), s);
+        let s = F32x4::load(&c[i..]).mul_add(F32x4::splat(w[2]), s);
+        let s = F32x4::load(&d[i..]).mul_add(F32x4::splat(w[3]), s);
+        let start = if from_zero {
+            F32x4::ZERO
+        } else {
+            F32x4::load(&out[i..])
+        };
+        (start + s).store(&mut out[i..]);
+        i += 4;
+    }
+    while i < n {
+        let start = if from_zero { 0.0 } else { out[i] };
+        out[i] = start + (a[i] * w[0] + b[i] * w[1] + c[i] * w[2] + d[i] * w[3]);
+        i += 1;
+    }
+}
+
+/// Blends 8 grid corners into `out` one corner at a time: per channel
+/// the add chain starts at `start` (per [`Blend`]) and adds `t_k[c]·w_k`
+/// for `k = 0..8` in order.
+///
+/// `table` and `entries` are as in [`blend_bilinear`], corners in
+/// [`trilinear_weights`] order. Each channel keeps the add chain of the
+/// per-channel loop `*o += w_k * t_k[c]` it replaces, in the same
+/// [`F32x8`] / [`F32x4`] / scalar-tail chunks as [`blend_bilinear`]; the
+/// result is bit-identical to that loop at any channel count.
+///
+/// # Panics
+///
+/// Panics if a corner entry lies outside `table`.
+#[inline(always)]
+// uni-lint: hot
+pub fn blend_trilinear(
+    out: &mut [f32],
+    table: &[f32],
+    entries: [usize; 8],
+    w: [f32; 8],
+    blend: Blend,
+) {
+    let n = out.len();
+    let corner = |k: usize| &table[entries[k] * n..entries[k] * n + n];
+    let t = [
+        corner(0),
+        corner(1),
+        corner(2),
+        corner(3),
+        corner(4),
+        corner(5),
+        corner(6),
+        corner(7),
+    ];
+    let from_zero = blend == Blend::FromZero;
+    let mut i = 0;
+    while i + 8 <= n {
+        let mut acc = if from_zero {
+            F32x8::ZERO
+        } else {
+            F32x8::load(&out[i..])
+        };
+        for (tk, &wk) in t.iter().zip(&w) {
+            acc = F32x8::load(&tk[i..]).mul_add(F32x8::splat(wk), acc);
+        }
+        acc.store(&mut out[i..]);
+        i += 8;
+    }
+    if i + 4 <= n {
+        let mut acc = if from_zero {
+            F32x4::ZERO
+        } else {
+            F32x4::load(&out[i..])
+        };
+        for (tk, &wk) in t.iter().zip(&w) {
+            acc = F32x4::load(&tk[i..]).mul_add(F32x4::splat(wk), acc);
+        }
+        acc.store(&mut out[i..]);
+        i += 4;
+    }
+    while i < n {
+        let mut acc = if from_zero { 0.0 } else { out[i] };
+        for (tk, &wk) in t.iter().zip(&w) {
+            acc += wk * tk[i];
+        }
+        out[i] = acc;
+        i += 1;
+    }
 }
 
 /// Nearest-vertex index along one axis.

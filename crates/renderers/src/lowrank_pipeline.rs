@@ -160,8 +160,10 @@ impl LowRankPipeline {
 
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh deferred-MLP activations per
-    /// covered pixel, decoded with the scalar row-dot kernel. Parity
-    /// baseline and the "before" side of `benches/render_hot.rs`.
+    /// covered pixel, fetching features with the per-channel
+    /// [`uni_scene::Triplane::fetch_scalar`] loops and decoding with the
+    /// scalar row-dot kernel. Parity baseline and the "before" side of
+    /// `benches/render_hot.rs`.
     pub fn render_scalar(&self, scene: &BakedScene, camera: &Camera) -> Image {
         let bg = scene.field().background();
         let mut img = Image::new(camera.width, camera.height, bg);
@@ -186,7 +188,7 @@ impl LowRankPipeline {
                     if acc.saturated() {
                         break;
                     }
-                    tp.fetch(ray.at(t), &mut feats);
+                    tp.fetch_scalar(ray.at(t), &mut feats);
                     let density = feats[0].max(0.0) * PEAK_DENSITY;
                     if density < 1e-2 {
                         continue;

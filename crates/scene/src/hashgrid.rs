@@ -9,7 +9,8 @@
 //! Grid Indexing micro-operator.
 
 use serde::{Deserialize, Serialize};
-use uni_geometry::{interp, Aabb, F32x4, Vec3};
+use uni_geometry::interp::{self, Blend};
+use uni_geometry::{Aabb, Vec3};
 
 /// The Instant-NGP hash primes.
 const PRIMES: [u64; 3] = [1, 2_654_435_761, 805_459_861];
@@ -354,10 +355,10 @@ impl HashGrid {
     /// (length `L × F`).
     ///
     /// Per level, the 8 corner slots are computed in one batch from the
-    /// cached metadata and all `F = 4` feature channels interpolate in
-    /// one wide op per corner. Corner order and per-channel accumulation
-    /// order are the seed's, so the result is bit-identical to
-    /// [`HashGrid::fetch_scalar`].
+    /// cached metadata and the `F` feature channels blend through the
+    /// wide [`interp::blend_trilinear`] kernel. Corner order and
+    /// per-channel accumulation order are the seed's, so the result is
+    /// bit-identical to [`HashGrid::fetch_scalar`].
     ///
     /// # Panics
     ///
@@ -377,26 +378,8 @@ impl HashGrid {
             let cz = interp::cell_coord(u.z, m.verts);
             let w = interp::trilinear_weights(cx.frac, cy.frac, cz.frac);
             let slots = self.corner_slots(l, cx.base as u32, cy.base as u32, cz.base as u32);
-            let table = self.table(l);
             let dst = &mut out[l * f..(l + 1) * f];
-            if f == 4 {
-                // One 4-lane multiply-accumulate per corner; lane-wise
-                // ops keep each channel's scalar add chain intact.
-                let mut acc = F32x4::ZERO;
-                for (&slot, &wc) in slots.iter().zip(&w) {
-                    acc =
-                        F32x4::load(&table[slot * 4..slot * 4 + 4]).mul_add(F32x4::splat(wc), acc);
-                }
-                acc.store(dst);
-            } else {
-                dst.fill(0.0);
-                for (&slot, &wc) in slots.iter().zip(&w) {
-                    let feats = &table[slot * f..(slot + 1) * f];
-                    for (d, &v) in dst.iter_mut().zip(feats) {
-                        *d += wc * v;
-                    }
-                }
-            }
+            interp::blend_trilinear(dst, self.table(l), slots, w, Blend::FromZero);
         }
     }
 
@@ -594,7 +577,8 @@ mod tests {
 
     /// The cached-metadata fetch/probe are bit-identical to the seed-era
     /// scalar twins (same corner order, same accumulation chains), on the
-    /// default F=4 wide path and on a general-F config.
+    /// default F=4 config (one `F32x4` chunk) and on an F=2 config (the
+    /// kernel's scalar tail).
     #[test]
     fn cached_fetch_and_probe_match_scalar_bit_for_bit() {
         for config in [

@@ -6,7 +6,8 @@
 //! matching MobileNeRF-style baked representations.
 
 use serde::{Deserialize, Serialize};
-use uni_geometry::{interp, Aabb, Vec2, Vec3};
+use uni_geometry::interp::{self, Blend};
+use uni_geometry::{Aabb, Vec2, Vec3};
 
 /// A 2D feature texture: `width × height` texels of `channels` floats.
 ///
@@ -96,43 +97,35 @@ impl Texture2d {
     /// Panics if `out.len()` differs from the channel count.
     pub fn sample_bilinear(&self, uv: Vec2, out: &mut [f32]) {
         assert_eq!(out.len() as u32, self.channels, "output width mismatch");
-        let (corners, w) = self.bilinear_corners(uv);
-        for (c, o) in out.iter_mut().enumerate() {
-            *o = corners.iter().zip(&w).map(|(t, wi)| t[c] * wi).sum();
-        }
+        let (entries, w) = self.bilinear_corners(uv);
+        // `-0.0` is the additive identity: adding the corner sum onto it
+        // writes that sum's exact bits.
+        out.fill(-0.0);
+        interp::blend_bilinear(out, &self.data, entries, w, Blend::Accumulate);
     }
 
-    /// Like [`Texture2d::sample_bilinear`], but *adds* the fetched
-    /// features onto `out` instead of overwriting it — the channel-wise
-    /// aggregation step of decomposed-grid indexing, without a caller-side
-    /// staging buffer. The per-channel corner sum is computed exactly as
-    /// in `sample_bilinear`, so `accumulate == sample-then-add` bit for
-    /// bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the channel count.
-    pub fn accumulate_bilinear(&self, uv: Vec2, out: &mut [f32]) {
-        assert_eq!(out.len() as u32, self.channels, "output width mismatch");
-        let (corners, w) = self.bilinear_corners(uv);
-        for (c, o) in out.iter_mut().enumerate() {
-            *o += corners.iter().zip(&w).map(|(t, wi)| t[c] * wi).sum::<f32>();
-        }
-    }
-
-    /// The four texels and bilinear weights around `uv`.
-    fn bilinear_corners(&self, uv: Vec2) -> ([&[f32]; 4], [f32; 4]) {
+    /// The four texel entries (indices into [`Texture2d::data`] in units
+    /// of `channels`) and bilinear weights around `uv`.
+    pub(crate) fn bilinear_corners(&self, uv: Vec2) -> ([usize; 4], [f32; 4]) {
         let cx = interp::cell_coord(uv.x, self.width.max(2));
         let cy = interp::cell_coord(uv.y, self.height.max(2));
         let w = interp::bilinear_weights(cx.frac, cy.frac);
-        let (x0, y0) = (cx.base as u32, cy.base as u32);
-        let corners = [
-            self.texel(x0, y0),
-            self.texel(x0 + 1, y0),
-            self.texel(x0, y0 + 1),
-            self.texel(x0 + 1, y0 + 1),
-        ];
-        (corners, w)
+        (self.corner_entries(cx.base as u32, cy.base as u32), w)
+    }
+
+    /// The entries of texels `(x0, y0)`, `(x0 + 1, y0)`, `(x0, y0 + 1)`
+    /// and `(x0 + 1, y0 + 1)`, clamped like [`Texture2d::texel`], in
+    /// [`interp::bilinear_weights`] order.
+    pub(crate) fn corner_entries(&self, x0: u32, y0: u32) -> [usize; 4] {
+        let (x1, y1) = ((x0 + 1).min(self.width - 1), (y0 + 1).min(self.height - 1));
+        let (x0, y0) = (x0.min(self.width - 1), y0.min(self.height - 1));
+        let (r0, r1) = ((y0 * self.width) as usize, (y1 * self.width) as usize);
+        [
+            r0 + x0 as usize,
+            r0 + x1 as usize,
+            r1 + x0 as usize,
+            r1 + x1 as usize,
+        ]
     }
 }
 

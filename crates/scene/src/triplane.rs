@@ -10,7 +10,8 @@
 
 use crate::mesh::Texture2d;
 use serde::{Deserialize, Serialize};
-use uni_geometry::{interp, Aabb, Vec2, Vec3};
+use uni_geometry::interp::{self, Blend};
+use uni_geometry::{Aabb, Vec2, Vec3};
 
 /// Configuration of a low-rank decomposed grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,17 +158,17 @@ impl Triplane {
         self.grid[idx..idx + c].copy_from_slice(features);
     }
 
-    fn grid_vertex(&self, x: u32, y: u32, z: u32) -> &[f32] {
-        let r = self.config.grid_resolution;
-        let c = self.config.channels as usize;
-        let idx = (((z.min(r - 1) * r + y.min(r - 1)) * r + x.min(r - 1)) as usize) * c;
-        &self.grid[idx..idx + c]
-    }
-
     /// Fetches aggregated features for a world-space point: the low-rank
     /// decomposed indexing step of Fig. 4. Per-plane bilinear features and
     /// the trilinear grid features are summed channel-wise (MeRF-style
     /// additive aggregation). Fills `out` (length = channels).
+    ///
+    /// All three planes share `plane_resolution`, so each axis's plane
+    /// cell coordinate is computed once and serves the two planes that
+    /// keep that axis. The 3 × 4 plane corners and the 8 grid corners
+    /// blend through the wide [`interp::blend_bilinear`] and
+    /// [`interp::blend_trilinear`] kernels, in the seed's per-channel order,
+    /// so the result is bit-identical to [`Triplane::fetch_scalar`].
     ///
     /// # Panics
     ///
@@ -177,26 +178,88 @@ impl Triplane {
         let c = self.config.channels as usize;
         assert_eq!(out.len(), c, "output width mismatch");
         let u = self.bounds.normalize_point(world).clamp(0.0, 1.0);
+        let pres = self.config.plane_resolution.max(2);
+        debug_assert!(
+            self.planes
+                .iter()
+                .all(|p| p.width().max(2) == pres && p.height().max(2) == pres),
+            "planes must keep the configured resolution"
+        );
+        let px = interp::cell_coord(u.x, pres);
+        let py = interp::cell_coord(u.y, pres);
+        let pz = interp::cell_coord(u.z, pres);
+        // `PlaneAxis::ALL` order; each pair is the plane's (u, v) axes. The
+        // first plane's chain starts at zero, as after `out.fill(0.0)`.
+        let mut blend = Blend::FromZero;
+        for (plane, (cu, cv)) in self.planes.iter().zip([(px, py), (px, pz), (py, pz)]) {
+            let entries = plane.corner_entries(cu.base as u32, cv.base as u32);
+            let w = interp::bilinear_weights(cu.frac, cv.frac);
+            interp::blend_bilinear(out, plane.data(), entries, w, blend);
+            blend = Blend::Accumulate;
+        }
+        let (entries, w) = self.grid_corners(u);
+        interp::blend_trilinear(out, &self.grid, entries, w, Blend::Accumulate);
+    }
+
+    /// Seed-era fetch: per-plane cell coordinates and one channel at a
+    /// time — the baseline `render_scalar` measures against.
+    /// Bit-identical to [`Triplane::fetch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the channel count.
+    pub fn fetch_scalar(&self, world: Vec3, out: &mut [f32]) {
+        let c = self.config.channels as usize;
+        assert_eq!(out.len(), c, "output width mismatch");
+        let u = self.bounds.normalize_point(world).clamp(0.0, 1.0);
         out.fill(0.0);
         for axis in PlaneAxis::ALL {
-            let uv = axis.project(u);
-            self.planes[axis as usize].accumulate_bilinear(uv, out);
+            let plane = &self.planes[axis as usize];
+            let (entries, w) = plane.bilinear_corners(axis.project(u));
+            let corners = entries.map(|e| &plane.data()[e * c..(e + 1) * c]);
+            for (ch, o) in out.iter_mut().enumerate() {
+                *o += corners
+                    .iter()
+                    .zip(&w)
+                    .map(|(t, wi)| t[ch] * wi)
+                    .sum::<f32>();
+            }
         }
-        // Low-res grid, trilinear.
-        let res = self.config.grid_resolution;
-        let cx = interp::cell_coord(u.x, res);
-        let cy = interp::cell_coord(u.y, res);
-        let cz = interp::cell_coord(u.z, res);
-        let w = interp::trilinear_weights(cx.frac, cy.frac, cz.frac);
-        for (corner, &wc) in w.iter().enumerate() {
-            let x = cx.base as u32 + (corner as u32 & 1);
-            let y = cy.base as u32 + ((corner as u32 >> 1) & 1);
-            let z = cz.base as u32 + ((corner as u32 >> 2) & 1);
-            let feats = self.grid_vertex(x, y, z);
-            for (o, &v) in out.iter_mut().zip(feats) {
+        let (entries, w) = self.grid_corners(u);
+        for (&e, &wc) in entries.iter().zip(&w) {
+            for (o, &v) in out.iter_mut().zip(&self.grid[e * c..(e + 1) * c]) {
                 *o += wc * v;
             }
         }
+    }
+
+    /// The entries (indices into the grid in units of `channels`) of the
+    /// 8 low-res grid vertices around normalized point `u`, clamped to
+    /// the grid, and their weights, in [`interp::trilinear_weights`]
+    /// order.
+    fn grid_corners(&self, u: Vec3) -> ([usize; 8], [f32; 8]) {
+        let r = self.config.grid_resolution;
+        let cx = interp::cell_coord(u.x, r);
+        let cy = interp::cell_coord(u.y, r);
+        let cz = interp::cell_coord(u.z, r);
+        let w = interp::trilinear_weights(cx.frac, cy.frac, cz.frac);
+        let axis = |c: interp::CellCoord| {
+            let b = c.base as u32;
+            [b.min(r - 1), (b + 1).min(r - 1)]
+        };
+        let ([x0, x1], [y0, y1], [z0, z1]) = (axis(cx), axis(cy), axis(cz));
+        let entry = |x: u32, y: u32, z: u32| ((z * r + y) * r + x) as usize;
+        let entries = [
+            entry(x0, y0, z0),
+            entry(x1, y0, z0),
+            entry(x0, y1, z0),
+            entry(x1, y1, z0),
+            entry(x0, y0, z1),
+            entry(x1, y0, z1),
+            entry(x0, y1, z1),
+            entry(x1, y1, z1),
+        ];
+        (entries, w)
     }
 }
 
@@ -282,6 +345,99 @@ mod tests {
         let mb = TriplaneConfig::default().storage_bytes() as f64 / 1e6;
         // Tab. I lists <= 160 MB for low-rank-decomposed-grid pipelines.
         assert!(mb > 80.0 && mb <= 160.0, "{mb} MB");
+    }
+
+    /// A decomposed grid whose planes and grid hold seeded values in
+    /// `[-1, 1)`, with every seventh value `-0.0` and every eleventh `0.0`.
+    fn filled(config: TriplaneConfig) -> Triplane {
+        let mut t = Triplane::new(config, Aabb::cube(1.0));
+        let mut rng = uni_geometry::sampling::XorShift64::new(0x7121);
+        let mut k = 0u32;
+        let mut next = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    k += 1;
+                    let v = rng.range_f32(-1.0, 1.0);
+                    match (k % 7, k % 11) {
+                        (0, _) => -0.0,
+                        (_, 0) => 0.0,
+                        _ => v,
+                    }
+                })
+                .collect()
+        };
+        let (pr, gr, c) = (
+            config.plane_resolution,
+            config.grid_resolution,
+            config.channels as usize,
+        );
+        for axis in PlaneAxis::ALL {
+            for y in 0..pr {
+                for x in 0..pr {
+                    t.plane_mut(axis).set_texel(x, y, &next(c));
+                }
+            }
+        }
+        for z in 0..gr {
+            for y in 0..gr {
+                for x in 0..gr {
+                    t.write_grid_vertex(x, y, z, &next(c));
+                }
+            }
+        }
+        t
+    }
+
+    /// The wide fetch is bit-identical to the seed-era per-channel loops:
+    /// at seeded interior points, at plane- and grid-cell edges, on the
+    /// domain faces and clamped outside it, for 8 channels (one `F32x8`
+    /// chunk), 12 (`F32x8` + `F32x4`) and 15 (plus a scalar tail).
+    #[test]
+    fn fetch_matches_scalar_bit_for_bit() {
+        for channels in [8, 12, 15] {
+            let config = TriplaneConfig {
+                plane_resolution: 16,
+                grid_resolution: 5,
+                channels,
+            };
+            let t = filled(config);
+            let mut points = vec![
+                Vec3::splat(50.0),
+                Vec3::splat(-50.0),
+                Vec3::new(3.0, -0.2, -7.5),
+                Vec3::splat(1.0),
+                Vec3::splat(-1.0),
+            ];
+            // Cell edges: normalized k / (res - 1) on each axis's lattice.
+            for res in [config.plane_resolution, config.grid_resolution] {
+                for k in 0..res {
+                    let e = -1.0 + 2.0 * k as f32 / (res - 1) as f32;
+                    points.push(Vec3::new(e, 0.3, -0.6));
+                    points.push(Vec3::new(-0.45, e, e));
+                }
+            }
+            let mut rng = uni_geometry::sampling::XorShift64::new(0x1f7);
+            for _ in 0..200 {
+                points.push(Vec3::new(
+                    rng.range_f32(-1.2, 1.2),
+                    rng.range_f32(-1.2, 1.2),
+                    rng.range_f32(-1.2, 1.2),
+                ));
+            }
+            let mut wide = vec![0.0f32; channels as usize];
+            let mut scalar = vec![0.0f32; channels as usize];
+            for p in points {
+                t.fetch(p, &mut wide);
+                t.fetch_scalar(p, &mut scalar);
+                for (ch, (a, b)) in wide.iter().zip(&scalar).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{channels} channels, channel {ch} at {p:?}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

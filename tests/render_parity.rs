@@ -6,10 +6,12 @@
 //! caller-owned buffer), `render_traced` must write the same pixels and
 //! trace the frame exactly like `trace()` up to the probe cap, and the
 //! global counting sort must order (tile, depth) pairs exactly like the
-//! comparison sort it replaced.
+//! comparison sort it replaced, and the wide corner-blend kernels must
+//! match plain per-channel loops bit for bit.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use uni_render::geometry::interp::{blend_bilinear, blend_trilinear, Blend};
 use uni_render::geometry::sampling::XorShift64;
 use uni_render::prelude::*;
 use uni_render::renderers::gaussian_pipeline::{depth_key, sort_pairs_by_tile_and_depth};
@@ -256,6 +258,102 @@ proptest! {
         let second: Vec<u32> = again.iter().map(|v| v.to_bits()).collect();
         // Bit-stability across repeated runs of the wide kernel.
         prop_assert_eq!(first, second);
+    }
+}
+
+/// A draw that is `-0.0` or `0.0` half the time, so `-0.0` products,
+/// zero weights and signed-zero starts are common.
+fn signed_zero_or(rng: &mut XorShift64, lo: f32, hi: f32) -> f32 {
+    match rng.next_usize(4) {
+        0 => -0.0,
+        1 => 0.0,
+        _ => rng.range_f32(lo, hi),
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+    /// The wide corner-blend kernels match plain per-channel loops bit for
+    /// bit at every channel count 1..=20 (`F32x8` chunks, an `F32x4`
+    /// chunk and a scalar tail in every combination), in both
+    /// [`Blend`] modes: `blend_bilinear` matches the seed's
+    /// `*o += corners.map(t[c] * w).sum::<f32>()` and `blend_trilinear`
+    /// the seed's corner-by-corner `*o += w * t[c]`, from `out` or from
+    /// `out.fill(0.0)`. Signed zeros in corners, weights and `out` make a
+    /// changed order of operations or a changed zero start show.
+    #[test]
+    fn prop_corner_blend_kernels_match_per_channel_loops(
+        channels in 1usize..=20,
+        seed in 1u64..1_000_000,
+        all_products_negative_zero in 0u8..4,
+    ) {
+        // In a quarter of the cases every weight is zero and every feature
+        // is negative or `-0.0`, so every product is `-0.0` and only the
+        // zero start decides the sign of a `FromZero` result.
+        let zeroed = all_products_negative_zero == 0;
+        let mut rng = XorShift64::new(seed);
+        // Ten entries of `channels` features; the corners pick among them
+        // (repeats allowed, as at clamped grid edges).
+        let table: Vec<f32> = (0..10 * channels)
+            .map(|_| {
+                if zeroed {
+                    -rng.range_f32(0.0, 2.0)
+                } else {
+                    signed_zero_or(&mut rng, -2.0, 2.0)
+                }
+            })
+            .collect();
+        let entries: [usize; 8] = std::array::from_fn(|_| rng.next_usize(10));
+        let w: [f32; 8] = std::array::from_fn(|_| {
+            if zeroed {
+                0.0
+            } else {
+                signed_zero_or(&mut rng, -1.0, 1.0)
+            }
+        });
+        let start: Vec<f32> = (0..channels)
+            .map(|_| signed_zero_or(&mut rng, -2.0, 2.0))
+            .collect();
+        let corner = |k: usize| &table[entries[k] * channels..(entries[k] + 1) * channels];
+
+        for blend in [Blend::Accumulate, Blend::FromZero] {
+            let mut scalar = start.clone();
+            if blend == Blend::FromZero {
+                scalar.fill(0.0);
+            }
+            let (quad, w4) = ([0, 1, 2, 3].map(corner), [w[0], w[1], w[2], w[3]]);
+            for (c, o) in scalar.iter_mut().enumerate() {
+                *o += quad.iter().zip(&w4).map(|(t, wi)| t[c] * wi).sum::<f32>();
+            }
+            let mut wide = start.clone();
+            let e4 = [entries[0], entries[1], entries[2], entries[3]];
+            blend_bilinear(&mut wide, &table, e4, w4, blend);
+            for (c, (a, b)) in wide.iter().zip(&scalar).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "bilinear {blend:?}, {channels} channels, channel {c}: wide {a:?} vs loop {b:?}"
+                );
+            }
+
+            let mut scalar = start.clone();
+            if blend == Blend::FromZero {
+                scalar.fill(0.0);
+            }
+            for (k, &wk) in w.iter().enumerate() {
+                for (o, &v) in scalar.iter_mut().zip(corner(k)) {
+                    *o += wk * v;
+                }
+            }
+            let mut wide = start.clone();
+            blend_trilinear(&mut wide, &table, entries, w, blend);
+            for (c, (a, b)) in wide.iter().zip(&scalar).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "trilinear {blend:?}, {channels} channels, channel {c}: wide {a:?} vs loop {b:?}"
+                );
+            }
+        }
     }
 }
 
