@@ -6,14 +6,21 @@
 //! takes ownership of distinct `&mut` chunks via `chunks_mut` and the
 //! results are bitwise independent of the thread count.
 //!
-//! Built on `std::thread::scope` — the hermetic build environment has no
-//! rayon, and band-granularity work needs nothing fancier. With the
-//! `threads` feature disabled (or one available core, or
-//! `UNI_RENDER_THREADS=1`) everything runs serially on the calling thread;
-//! callers keep a single code path either way.
+//! Fan-outs run on a process-wide pool of parked helper threads that
+//! starts on first use and persists across frames, so a frame pays
+//! neither thread spawn nor join; the calling thread claims bands
+//! alongside the helpers. The hermetic build environment has no rayon,
+//! and band-granularity work needs nothing fancier. With the `threads`
+//! feature disabled (or one available core, or `UNI_RENDER_THREADS=1`)
+//! everything runs serially on the calling thread; callers keep a single
+//! code path either way.
 
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
 
 /// A type-erased job a [`LanePool`] worker executes.
 type LaneJob = Box<dyn FnOnce() + Send + 'static>;
@@ -93,9 +100,10 @@ impl<R> Ticket<R> {
 
 /// A pool of *persistent* worker lanes.
 ///
-/// Unlike [`par_bands`] / [`par_indices`], which spawn scoped threads per
-/// call, a `LanePool` keeps its workers alive across submissions — the
-/// primitive long-lived frame servers schedule onto. Jobs are submitted to
+/// Where [`par_bands`] / [`par_indices`] split one call's indices over
+/// a shared pool of helpers, a `LanePool` owns its workers, one per
+/// lane, alive across submissions — the primitive long-lived frame
+/// servers schedule onto. Jobs are submitted to
 /// an explicit lane index; each lane executes its jobs in FIFO order, and
 /// distinct lanes run concurrently. Results come back through [`Ticket`]s,
 /// so a caller that submits in a deterministic order and waits in that
@@ -256,10 +264,18 @@ pub fn set_worker_count(workers: Option<usize>) -> Option<usize> {
     (prev != 0).then_some(prev)
 }
 
+/// Hardware parallelism, detected on first use: the lookup re-reads the
+/// cgroup files on every call (21–26 µs on a 2-core Linux host), far too
+/// slow for once per fan-out.
+static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+
 /// Worker count the band helpers will use.
 ///
 /// A [`set_worker_count`] pin wins; otherwise `UNI_RENDER_THREADS`
-/// overrides detection. Without the `threads` feature this is always 1.
+/// overrides detection. The variable is read on every call, so a
+/// process may change it between fan-outs; the hardware count is
+/// detected once per process. Without the `threads` feature this is
+/// always 1.
 pub fn worker_count() -> usize {
     #[cfg(not(feature = "threads"))]
     {
@@ -276,13 +292,13 @@ pub fn worker_count() -> usize {
                 return n.max(1);
             }
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *HARDWARE_THREADS.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     }
 }
 
-/// Whether the helpers will actually spawn threads.
+/// Whether fan-outs will actually run on more than one thread.
 pub fn is_parallel() -> bool {
     worker_count() > 1
 }
@@ -394,38 +410,42 @@ where
     run_pool(n, workers, f)
 }
 
-/// The shared worker pool behind [`par_bands`] and [`par_indices`]: runs
-/// `f(i)` for every index in `0..n` on `workers` scoped threads, indices
-/// claimed from an atomic cursor (so heterogeneous costs load-balance),
-/// results returned in index order. Worker panics are propagated.
+/// The fan-out behind [`par_bands`] and [`par_indices`]: runs `f(i)` for
+/// every index in `0..n` on the calling thread plus `workers - 1` pool
+/// helpers, indices claimed from an atomic cursor (so heterogeneous costs
+/// load-balance), results returned in index order. The first panicking
+/// index stops the claiming and is re-raised here with its own payload.
 fn run_pool<R, F>(n: usize, workers: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let cursor = AtomicUsize::new(0);
-    let cells: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let cells = &cells;
-            let f = &f;
-            handles.push(scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *cells[i].lock().expect("result cell poisoned") = Some(f(i));
-            }));
-        }
-        for h in handles {
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
+    let cells: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let claim = || {
+        let claimed = catch_unwind(AssertUnwindSafe(|| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            let r = f(i);
+            *cells[i].lock().expect("result cell poisoned") = Some(r);
+        }));
+        if let Err(payload) = claimed {
+            // Exhaust the cursor so every copy stops after its current
+            // index; the first payload wins.
+            cursor.store(n, Ordering::Relaxed);
+            failure
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
         }
-    });
+    };
+    fan_out(&claim, workers - 1);
+    if let Some(payload) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
+    }
     cells
         .into_iter()
         .map(|c| {
@@ -434,6 +454,140 @@ where
                 .expect("every index ran")
         })
         .collect()
+}
+
+/// One fan-out's claiming loop, shared with the helpers that run copies
+/// of it.
+struct Job<'a> {
+    /// Claims and runs indices until none are left. Never unwinds: it
+    /// catches its own panics for the caller to re-raise.
+    claim: &'a (dyn Fn() + Sync),
+    /// Copies helpers have taken off the queue and not yet finished.
+    /// Raised under the pool lock as a helper takes a copy; lowered with
+    /// `Release` as the copy returns, paired with the `Acquire` load in
+    /// `Finished::drop`, so the caller sees every result a copy wrote.
+    running: AtomicUsize,
+    /// The fanning-out thread, unparked when the last running copy
+    /// returns.
+    caller: Thread,
+}
+
+/// The process-wide band-helper pool behind [`run_pool`]. Blocked
+/// threads park with no lock held: idle helpers until a fan-out queues
+/// copies, callers until their running copies return.
+struct PoolState {
+    /// Copies of in-flight jobs that no helper has taken yet.
+    queue: VecDeque<&'static Job<'static>>,
+    /// Helpers parked on an empty queue.
+    idle: Vec<Thread>,
+    /// Helpers started so far. They live for the rest of the process.
+    helpers: usize,
+}
+
+static POOL: Mutex<PoolState> = Mutex::new(PoolState {
+    queue: VecDeque::new(),
+    idle: Vec::new(),
+    helpers: 0,
+});
+
+fn lock_pool() -> MutexGuard<'static, PoolState> {
+    // Nothing panics while holding this lock and every update leaves the
+    // queue and counts valid, so a poisoned guard is still sound;
+    // recovering it keeps `Finished::drop` from panicking.
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `claim` on the calling thread and offers `copies` copies of it to
+/// the pool helpers, growing the pool to at least `copies` threads.
+/// Returns once every copy has returned or been withdrawn.
+fn fan_out(claim: &(dyn Fn() + Sync), copies: usize) {
+    let job = Job {
+        claim,
+        running: AtomicUsize::new(0),
+        caller: std::thread::current(),
+    };
+    // SAFETY: only the lifetime changes. The queue and the helpers use
+    // `shared` between a push below and `Finished::drop`, which runs
+    // before `job` (and the borrows inside it) goes out of scope, on
+    // return and on unwind alike. Under the pool lock it withdraws every
+    // copy still queued; it then waits until `running` is zero, and a
+    // helper touches a job only between taking its copy (under the lock,
+    // raising `running`) and lowering `running`.
+    let shared: &'static Job<'static> =
+        unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(&job) };
+    let _finished = Finished(shared);
+    let started = {
+        let mut pool = lock_pool();
+        for _ in 0..copies {
+            pool.queue.push_back(shared);
+            if let Some(helper) = pool.idle.pop() {
+                helper.unpark();
+            }
+        }
+        let started = pool.helpers;
+        pool.helpers = started.max(copies);
+        started
+    };
+    for id in started..copies {
+        // A helper that fails to start is not retried: the caller claims
+        // whatever no helper takes, so the fan-out completes.
+        let _ = std::thread::Builder::new()
+            .name(format!("uni-band-{id}"))
+            .spawn(help_forever);
+    }
+    (job.claim)();
+}
+
+/// A helper's life: take a queued copy and run it, or park until a
+/// fan-out queues one.
+fn help_forever() {
+    let me = std::thread::current();
+    loop {
+        let taken = {
+            let mut pool = lock_pool();
+            let taken = pool.queue.pop_front();
+            match taken {
+                Some(job) => {
+                    job.running.fetch_add(1, Ordering::Relaxed);
+                }
+                // A spurious wakeup finds this helper still listed.
+                None if !pool.idle.iter().any(|t| t.id() == me.id()) => {
+                    pool.idle.push(me.clone());
+                }
+                None => {}
+            }
+            taken
+        };
+        match taken {
+            Some(job) => {
+                (job.claim)();
+                // The caller may return, and drop `job`, as soon as
+                // `running` reaches zero: take its handle first.
+                let caller = job.caller.clone();
+                if job.running.fetch_sub(1, Ordering::Release) == 1 {
+                    caller.unpark();
+                }
+            }
+            None => std::thread::park(),
+        }
+    }
+}
+
+/// Ends a [`fan_out`]: withdraws the job's unclaimed copies, then
+/// waits for its running ones. Only running copies are waited for, so a
+/// band that fans out again, or two threads fanning out at once, cannot
+/// deadlock.
+struct Finished(&'static Job<'static>);
+
+impl Drop for Finished {
+    fn drop(&mut self) {
+        lock_pool()
+            .queue
+            .retain(|queued| !std::ptr::eq(*queued, self.0));
+        while self.0.running.load(Ordering::Acquire) > 0 {
+            std::thread::park();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -463,8 +617,41 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that pin the process-wide worker count.
+    static PIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `body` with [`worker_count`] pinned to `workers`.
+    fn with_workers<T>(workers: usize, body: impl FnOnce() -> T) -> T {
+        let _serial = PIN.lock().unwrap_or_else(PoisonError::into_inner);
+        let prev = set_worker_count(Some(workers));
+        let out = catch_unwind(AssertUnwindSafe(body));
+        set_worker_count(prev);
+        out.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    /// Whether a fan-out over `workers` indices ran them all at once,
+    /// one per thread: each index waits (up to a timeout) until all have
+    /// arrived, so no thread can claim two of them in time.
+    #[cfg(feature = "threads")]
+    fn fan_out_runs_on_every_worker(workers: usize) -> bool {
+        let arrived = std::sync::Mutex::new(0);
+        let all_arrived = std::sync::Condvar::new();
+        par_indices(workers, |_| {
+            let mut count = arrived.lock().unwrap();
+            *count += 1;
+            all_arrived.notify_all();
+            let (count, _) = all_arrived
+                .wait_timeout_while(count, std::time::Duration::from_secs(10), |c| *c < workers)
+                .unwrap();
+            *count == workers
+        })
+        .into_iter()
+        .all(|met| met)
+    }
+
     #[test]
     fn worker_pin_overrides_environment() {
+        let _serial = PIN.lock().unwrap_or_else(PoisonError::into_inner);
         let prev = set_worker_count(Some(3));
         #[cfg(feature = "threads")]
         assert_eq!(worker_count(), 3);
@@ -507,6 +694,85 @@ mod tests {
     fn par_indices_orders_results() {
         let squares = par_indices(20, |i| i * i);
         assert_eq!(squares, (0..20).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[cfg(feature = "threads")]
+    #[test]
+    fn panicking_band_reraises_its_payload_and_the_pool_survives() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(usize);
+        with_workers(4, || {
+            let mut data = vec![0u8; 64];
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                par_bands(&mut data, 8, |band, _| {
+                    if band == 5 {
+                        std::panic::panic_any(Payload(band));
+                    }
+                    band
+                })
+            }))
+            .expect_err("the band panic must reach the caller");
+            assert_eq!(caught.downcast_ref::<Payload>(), Some(&Payload(5)));
+            assert!(
+                fan_out_runs_on_every_worker(4),
+                "the next fan-out still runs on all four workers"
+            );
+        });
+    }
+
+    #[cfg(feature = "threads")]
+    #[test]
+    fn nested_fan_out_completes() {
+        with_workers(4, || {
+            let mut data: Vec<u32> = (0..256).collect();
+            let sums = par_bands(&mut data, 32, |_, outer| {
+                par_bands(outer, 4, |_, inner| inner.iter().sum::<u32>())
+                    .into_iter()
+                    .sum::<u32>()
+            });
+            let expected: Vec<u32> = (0..8u32).map(|b| (b * 32..(b + 1) * 32).sum()).collect();
+            assert_eq!(sums, expected);
+        });
+    }
+
+    #[cfg(feature = "threads")]
+    #[test]
+    fn concurrent_fan_outs_keep_their_own_results_in_order() {
+        with_workers(4, || {
+            // Index 0 of each fan-out waits for index 0 of the other, so
+            // both are in flight on the pool at once.
+            let both_in_flight = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                let lanes: Vec<_> = [3usize, 7]
+                    .into_iter()
+                    .map(|k| {
+                        let both_in_flight = &both_in_flight;
+                        scope.spawn(move || {
+                            par_indices(40, |i| {
+                                if i == 0 {
+                                    both_in_flight.wait();
+                                }
+                                i * k
+                            })
+                        })
+                    })
+                    .collect();
+                for (lane, k) in lanes.into_iter().zip([3usize, 7]) {
+                    let got = lane.join().expect("fan-out lane");
+                    assert_eq!(got, (0..40).map(|i| i * k).collect::<Vec<_>>());
+                }
+            });
+        });
+    }
+
+    #[cfg(feature = "threads")]
+    #[test]
+    fn raising_the_worker_count_grows_the_pool() {
+        assert!(with_workers(2, || fan_out_runs_on_every_worker(2)));
+        assert!(
+            with_workers(8, || fan_out_runs_on_every_worker(8)),
+            "a larger pin after the pool exists runs on every worker"
+        );
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! thread there, so those tests read the allocator's per-thread meters,
 //! which the harness's other threads cannot disturb. An accelerator-
 //! attached session allocates its trace and sim report per frame, a
-//! fixed amount whatever the resolution. At higher thread counts the band
-//! fan-out spawns scoped workers each frame — those allocate (thread
-//! state, job cells) a small, resolution-independent amount, so there
-//! the contract is a per-frame *bound* of O(workers): a per-ray or
-//! per-pixel allocation leak blows it by orders of magnitude. CI runs
-//! this file at `UNI_RENDER_THREADS=1` and `4`.
+//! fixed amount whatever the resolution. At higher thread counts each
+//! band fan-out allocates its job cells and result vector, and a pool
+//! helper grows its scratch arenas the first time it runs a pipeline's
+//! band — a small, resolution-independent amount, so there the contract
+//! is a per-frame *bound* of O(workers): a per-ray or per-pixel
+//! allocation leak blows it by orders of magnitude. CI runs this file at
+//! `UNI_RENDER_THREADS=1` and `4`.
 //!
 //! A soak test also meters freed bytes: sessions the server has retired
 //! must leave almost nothing live on the heap.
@@ -148,11 +149,13 @@ fn steady_state_frames_do_not_allocate_single_threaded() {
 
 #[test]
 fn steady_state_frames_allocate_bounded_multi_threaded() {
-    // 32 allocation events per worker per frame comfortably covers two
-    // band fan-outs (scoped spawn machinery + result cells) while
-    // sitting orders of magnitude below any per-ray or per-pixel leak
+    // Measured steady-state maximum: 9 events per frame (mesh and MixRT,
+    // the frame where the pool helper first grows its scratch arenas;
+    // 2–5 on every other frame). The budget of 16 leaves room for a
+    // second helper's first-use growth (4 events) in the same frame,
+    // and sits orders of magnitude below any per-ray or per-pixel leak
     // (the 32×24 frames here trace ~768 primary rays).
-    const PER_WORKER_BUDGET: u64 = 32;
+    const PER_WORKER_BUDGET: u64 = 4;
     let workers = 4u64;
     let _guard = common::env_lock();
     common::with_threads("4", || {
