@@ -93,17 +93,23 @@ impl Camera {
     ///
     /// Pixel centers are at half-integer coordinates: pass `(x + 0.5,
     /// y + 0.5)` to shoot through the center of pixel `(x, y)`. `py` grows
-    /// downward (raster convention).
+    /// downward (raster convention). Per-pixel loops build one
+    /// [`RayGenerator`] instead; this is `self.ray_generator().ray(px, py)`.
     pub fn primary_ray(&self, px: f32, py: f32) -> Ray {
-        let ndc_x = 2.0 * px / self.width as f32 - 1.0;
-        let ndc_y = 1.0 - 2.0 * py / self.height as f32;
-        let aspect = self.width as f32 / self.height as f32;
-        let tan_half = (self.fov_y * 0.5).tan();
-        // Direction in view space (camera looks down -Z).
-        let dir_view = Vec3::new(ndc_x * aspect * tan_half, ndc_y * tan_half, -1.0);
-        let inv_view = self.view.inverse_rigid();
-        let dir_world = inv_view.transform_vector(dir_view).normalized();
-        Ray::new_unnormalized(self.eye, dir_world)
+        self.ray_generator().ray(px, py)
+    }
+
+    /// The per-camera part of [`Camera::primary_ray`] (aspect, `tan` of
+    /// the half field of view, inverse view), computed once.
+    pub fn ray_generator(&self) -> RayGenerator {
+        RayGenerator {
+            eye: self.eye,
+            width: self.width as f32,
+            height: self.height as f32,
+            aspect: self.width as f32 / self.height as f32,
+            tan_half: (self.fov_y * 0.5).tan(),
+            inv_view: self.view.inverse_rigid(),
+        }
     }
 
     /// Projects a world point to screen coordinates plus NDC depth.
@@ -132,6 +138,37 @@ impl Camera {
     pub fn pixel_footprint(&self, depth: f32) -> f32 {
         let world_height = 2.0 * depth * (self.fov_y * 0.5).tan();
         world_height / self.height as f32
+    }
+}
+
+/// Primary rays of one [`Camera`], with the per-camera setup hoisted out
+/// of the per-pixel loop. [`RayGenerator::ray`] is bit-identical to
+/// [`Camera::primary_ray`], which delegates to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RayGenerator {
+    eye: Vec3,
+    width: f32,
+    height: f32,
+    aspect: f32,
+    tan_half: f32,
+    inv_view: Mat4,
+}
+
+impl RayGenerator {
+    /// The primary ray through pixel coordinates `(px, py)` (see
+    /// [`Camera::primary_ray`]).
+    #[inline]
+    pub fn ray(&self, px: f32, py: f32) -> Ray {
+        let ndc_x = 2.0 * px / self.width - 1.0;
+        let ndc_y = 1.0 - 2.0 * py / self.height;
+        // Direction in view space (camera looks down -Z).
+        let dir_view = Vec3::new(
+            ndc_x * self.aspect * self.tan_half,
+            ndc_y * self.tan_half,
+            -1.0,
+        );
+        let dir_world = self.inv_view.transform_vector(dir_view).normalized();
+        Ray::new_unnormalized(self.eye, dir_world)
     }
 }
 

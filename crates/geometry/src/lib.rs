@@ -35,7 +35,7 @@ pub mod vec;
 pub mod wide;
 
 pub use aabb::Aabb;
-pub use camera::{Camera, Orbit};
+pub use camera::{Camera, Orbit, RayGenerator};
 pub use color::{Image, Rgb, Rgba};
 pub use interp::{bilinear_weights, trilinear_weights};
 pub use mat::{FlatMat, Mat3, Mat4};

@@ -286,6 +286,7 @@ impl MeshPipeline {
         let mesh = scene.mesh();
         let width = camera.width as usize;
         let rows = chunk.len() / width.max(1);
+        let rays = camera.ray_generator();
         {
             let crate::scratch::RayScratch { feats, mlp, .. } = rs;
             feats.clear();
@@ -304,7 +305,7 @@ impl MeshPipeline {
                     let diffuse = Rgb::new(feats[0], feats[1], feats[2]);
                     let s = feats[3];
                     let n = Vec3::new(feats[4], feats[5], feats[6]);
-                    let view = camera.primary_ray(x as f32 + 0.5, y as f32 + 0.5).direction;
+                    let view = rays.ray(x as f32 + 0.5, y as f32 + 0.5).direction;
                     let spec = scene.deferred_mlp().forward_scratch(
                         &[s * n.x, s * n.y, s * n.z, s, view.x, view.y, view.z],
                         mlp,

@@ -74,13 +74,14 @@ impl MlpPipeline {
         let width = camera.width as usize;
         let rows = chunk.len() / width.max(1);
         let mut stats = VolumeStats::default();
+        let rays = camera.ray_generator();
         let crate::scratch::RayScratch { ts, kilo, .. } = rs;
         for dy in 0..rows {
             let y = y0 + dy as u32;
             let row = &mut chunk[dy * width..(dy + 1) * width];
             for x in 0..camera.width {
                 stats.rays += 1;
-                let ray = camera.primary_ray(x as f32 + 0.5, y as f32 + 0.5);
+                let ray = rays.ray(x as f32 + 0.5, y as f32 + 0.5);
                 let Some((t0, t1)) = bounds.intersect_ray(&ray, camera.near, camera.far) else {
                     continue;
                 };
