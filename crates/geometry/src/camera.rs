@@ -107,6 +107,7 @@ impl Camera {
             width: self.width as f32,
             height: self.height as f32,
             aspect: self.width as f32 / self.height as f32,
+            // uni-lint: allow(R12, once per band and camera, not per pixel — the per-pixel loops call RayGenerator::ray, which has no libm call)
             tan_half: (self.fov_y * 0.5).tan(),
             inv_view: self.view.inverse_rigid(),
         }

@@ -26,6 +26,7 @@
 pub mod aabb;
 pub mod camera;
 pub mod color;
+pub mod fmath;
 pub mod interp;
 pub mod mat;
 pub mod ray;

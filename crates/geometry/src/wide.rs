@@ -9,7 +9,8 @@
 //! vectorizes, on every target. Numeric differences against the seed-era
 //! kernels come only from how *callers* restructure their reductions
 //! (e.g. the 8-output GEMM panels in `uni_scene::nn`), never from these
-//! primitives.
+//! primitives. The transcendentals on these lanes (`sin_cos`, `exp`)
+//! live in [`crate::fmath`], under the same lane-for-lane contract.
 
 /// An 8-lane single-precision vector.
 ///
@@ -91,8 +92,9 @@ impl F32x8 {
         self.max(Self::ZERO)
     }
 
-    /// Applies a scalar function per lane (for activations with no wide
-    /// lowering, e.g. sigmoid's `exp`).
+    /// Applies a scalar function per lane (e.g. the sigmoid activation on
+    /// [`crate::fmath::exp`]); an `#[inline(always)]` kernel lets the
+    /// backend vectorize the lanes.
     #[inline(always)]
     pub fn map(self, f: impl Fn(f32) -> f32) -> Self {
         let mut r = [0f32; 8];

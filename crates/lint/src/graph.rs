@@ -22,11 +22,14 @@
 //!   scopes, interprocedural edges through calls made under a held
 //!   guard); cycles are denied, as is holding any guard across
 //!   `Ticket::wait` or lane submission (`submit`/`submit_at`).
+//! - **R12 no-libm-transcendental-in-hot**: libm `sin`/`cos`/`exp`/...
+//!   method calls in every hot function and everything R8's reach finds
+//!   below one, so frame bits do not depend on the host's libm.
 //!
 //! The graph is name-based, not type-checked: a method call resolves to
 //! every workspace method of that name unless the receiver is `self` or
 //! the call is `Type::`-qualified. That over-approximates reachability,
-//! which is the safe direction for all three rules.
+//! which is the safe direction for every rule here.
 
 use crate::lexer::{Directive, Lexed, Tok};
 use crate::rules::{self, RawDiag};
@@ -93,6 +96,8 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
     /// R7-pattern allocation sites in this body.
     pub allocs: Vec<Site>,
+    /// libm transcendental method calls (R12 pattern) in this body.
+    pub libm_calls: Vec<Site>,
     /// Wall-clock idents (R4 pattern) in this body.
     pub wall_clocks: Vec<Site>,
     /// `HashMap`/`HashSet` idents (R5 pattern) in this body.
@@ -285,6 +290,7 @@ fn extract(file: usize, lexed: &Lexed, fns: &mut Vec<FnDef>) {
                     hot,
                     calls: Vec::new(),
                     allocs: Vec::new(),
+                    libm_calls: Vec::new(),
                     wall_clocks: Vec::new(),
                     unordered: Vec::new(),
                     locks: Vec::new(),
@@ -309,6 +315,9 @@ fn extract(file: usize, lexed: &Lexed, fns: &mut Vec<FnDef>) {
         // Allocation / taint sites (same matchers the intra rules use).
         if rules::alloc_token(toks, i) {
             fns[fn_id].allocs.push(site(tok));
+        }
+        if rules::libm_call_token(toks, i) {
+            fns[fn_id].libm_calls.push(site(tok));
         }
         if rules::WALL_CLOCK.contains(&t) {
             fns[fn_id].wall_clocks.push(site(tok));
@@ -872,14 +881,21 @@ pub fn check_workspace(ws: &Workspace) -> Vec<WorkspaceDiag> {
     check_r8(ws, &graph, &mut out);
     check_r9(ws, &graph, &mut out);
     check_r10(ws, &graph, &mut out);
+    check_r12(ws, &graph, &mut out);
     out
+}
+
+/// Hot fns in source order: the seeds of R8 and R12.
+fn hot_seeds(ws: &Workspace) -> Vec<usize> {
+    let mut seeds: Vec<usize> = (0..ws.fns.len()).filter(|&i| ws.fns[i].hot).collect();
+    seeds.sort_by_key(|&i| (ws.fns[i].file, ws.fns[i].line));
+    seeds
 }
 
 /// R8: allocation anywhere in the call tree under a hot fn. Sites inside
 /// hot-marked fns are R7's to report (including its suppressions).
 fn check_r8(ws: &Workspace, graph: &CallGraph, out: &mut Vec<WorkspaceDiag>) {
-    let mut seeds: Vec<usize> = (0..ws.fns.len()).filter(|&i| ws.fns[i].hot).collect();
-    seeds.sort_by_key(|&i| (ws.fns[i].file, ws.fns[i].line));
+    let seeds = hot_seeds(ws);
     if seeds.is_empty() {
         return;
     }
@@ -905,6 +921,35 @@ fn check_r8(ws: &Workspace, graph: &CallGraph, out: &mut Vec<WorkspaceDiag>) {
                     message: format!(
                         "allocation in a fn reachable from a `// uni-lint: hot` fn: {chain} -> {} — the whole hot call tree must borrow scratch, not allocate; fix the helper (and mark it hot) or audited-suppress",
                         a.what
+                    ),
+                },
+            });
+        }
+    }
+}
+
+/// R12: libm transcendentals in a hot fn or anything reachable from
+/// one. Unlike R8 this covers the hot fns themselves: there is no
+/// intra-function twin.
+fn check_r12(ws: &Workspace, graph: &CallGraph, out: &mut Vec<WorkspaceDiag>) {
+    let seeds = hot_seeds(ws);
+    if seeds.is_empty() {
+        return;
+    }
+    let reach = graph.reach(&seeds);
+    for &f in reach.keys() {
+        let def = &ws.fns[f];
+        let chain = graph.chain(&reach, f);
+        for s in &def.libm_calls {
+            out.push(WorkspaceDiag {
+                file: def.file,
+                diag: RawDiag {
+                    rule: "R12",
+                    line: s.line,
+                    col: s.col,
+                    message: format!(
+                        "libm `{}` on a frame path: {chain} -> {} — its bits depend on the host libm; use uni_geometry::fmath, hoist it out of the per-sample loop, or audited-suppress",
+                        s.what, s.what
                     ),
                 },
             });

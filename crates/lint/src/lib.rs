@@ -5,11 +5,12 @@
 //! policies, allocation-free hot loops) used to be enforced by review.
 //! This crate machine-enforces them: a dependency-free lexer strips
 //! comments/strings/attributes, a context tracker follows `impl`/`fn`
-//! nesting, and eleven deny-by-default rules (see [`rules::RULES`]) turn
+//! nesting, and twelve deny-by-default rules (see [`rules::RULES`]) turn
 //! each convention into `file:line:col` diagnostics. R1–R7 are
-//! single-function passes; R8–R10 run over a whole-workspace call graph
-//! ([`graph`]) so the no-alloc, determinism, and lock-order contracts
-//! follow calls instead of stopping at the first `fn` boundary; R11
+//! single-function passes; R8–R10 and R12 run over a whole-workspace
+//! call graph ([`graph`]) so the no-alloc, determinism, lock-order and
+//! owned-math contracts follow calls instead of stopping at the first
+//! `fn` boundary; R11
 //! ratchets findings and suppressions against a committed baseline
 //! ([`baseline`]). Suppression is explicit and audited:
 //! `// uni-lint: allow(RULE, reason)` with a mandatory reason, counted
@@ -85,7 +86,7 @@ impl Report {
 }
 
 /// Lints a set of files as one workspace: intra-function rules R1–R7
-/// per file, then the interprocedural rules R8–R10 over the combined
+/// per file, then the interprocedural rules R8–R10 and R12 over the combined
 /// call graph, then allow-directive filtering per file. Diagnostics are
 /// sorted by (path, line, col, rule) and deduplicated, so output is
 /// stable regardless of walk order — the property the baseline diff and

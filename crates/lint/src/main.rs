@@ -37,7 +37,7 @@ fn main() -> ExitCode {
                     config.allowed_rules.insert(rule.to_ascii_uppercase());
                 }
                 Some(rule) => return usage(&format!("unknown rule {rule:?}")),
-                None => return usage("--allow needs a rule id (R1..R11)"),
+                None => return usage("--allow needs a rule id (R1..R12)"),
             },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),

@@ -17,7 +17,7 @@ pub struct Rule {
     pub summary: &'static str,
 }
 
-pub const RULES: [Rule; 11] = [
+pub const RULES: [Rule; 12] = [
     Rule {
         id: "R1",
         name: "no-nested-vec",
@@ -72,6 +72,11 @@ pub const RULES: [Rule; 11] = [
         id: "R11",
         name: "baseline-ratchet",
         summary: "finding or suppression not in the committed lint-baseline.json — debt can only ratchet down",
+    },
+    Rule {
+        id: "R12",
+        name: "no-libm-transcendental-in-hot",
+        summary: "libm sin/cos/sin_cos/tan/exp/ln/powf in a `// uni-lint: hot` fn or anything reachable from one — use uni_geometry::fmath",
     },
 ];
 
@@ -133,6 +138,19 @@ pub(crate) fn in_scheduling_scope(path: &str) -> bool {
 /// R9 skips sites here — the intra rule already reports them.
 pub(crate) fn in_ordered_scope(path: &str) -> bool {
     path.starts_with("crates/engine/src") || path.starts_with("crates/microops/src")
+}
+
+/// Float methods that resolve to the host libm (R12). Frame paths use
+/// `uni_geometry::fmath` instead, whose bits do not depend on the libm
+/// variant the loader picks.
+pub(crate) const LIBM_TRANSCENDENTALS: [&str; 7] =
+    ["sin", "cos", "sin_cos", "tan", "exp", "ln", "powf"];
+
+/// Whether the token at `i` is a libm transcendental method call
+/// (`x.exp(`) under the R12 pattern.
+pub(crate) fn libm_call_token(toks: &[Tok], i: usize) -> bool {
+    let text = |j: usize| toks.get(j).map(|t| t.text.as_str()).unwrap_or("");
+    i > 0 && text(i - 1) == "." && text(i + 1) == "(" && LIBM_TRANSCENDENTALS.contains(&text(i))
 }
 
 /// Whether the token at `i` is an allocation site under the R7 pattern.

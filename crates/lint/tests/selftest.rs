@@ -124,6 +124,7 @@ fn interprocedural_rules_fire_on_bad_and_stay_silent_on_good() {
         ("R8", "crates/renderers/src/fixture.rs"),
         ("R9", "crates/renderers/src/fixture.rs"),
         ("R10", "crates/engine/src/fixture.rs"),
+        ("R12", "crates/renderers/src/fixture.rs"),
     ];
     for (rule, vpath) in cases {
         let stem = rule.to_ascii_lowercase();
@@ -155,6 +156,22 @@ fn r8_diagnostic_carries_the_call_chain() {
         "the chain names every hop down to the allocation: {}",
         d.message
     );
+}
+
+#[test]
+fn r12_flags_the_hot_fn_and_its_callees_with_the_chain() {
+    let report = lint_as("crates/renderers/src/fixture.rs", "r12_bad.rs");
+    let chains: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "R12")
+        .map(|d| d.message.as_str())
+        .collect();
+    assert_eq!(chains.len(), 2, "{chains:?}");
+    assert!(chains
+        .iter()
+        .any(|m| m.contains("shade_rows -> blend -> exp")));
+    assert!(chains.iter().any(|m| m.contains("shade_rows -> sin")));
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //!
 //! Front-to-back alpha compositing with transmittance tracking, shared by
 //! every volume-rendering pipeline and by the 3DGS splat compositor. The
-//! per-sample `exp` is an SFU op on the accelerator; the accumulate is the
-//! Continuous-pattern reduction of Tab. II.
+//! per-sample `exp` is an SFU op on the accelerator (here the owned
+//! [`fmath::exp`]); the accumulate is the Continuous-pattern reduction of
+//! Tab. II.
 
-use uni_geometry::Rgb;
+use uni_geometry::{fmath, Rgb};
 
 /// Transmittance below which a ray terminates early (the 1/255 threshold
 /// used by 3DGS and fast NeRF implementations).
@@ -57,7 +58,7 @@ impl RayAccumulator {
     /// `dt`: `alpha = 1 - exp(-density · dt)`.
     #[inline]
     pub fn add_density_sample(&mut self, color: Rgb, density: f32, dt: f32) {
-        let alpha = 1.0 - (-density.max(0.0) * dt.max(0.0)).exp();
+        let alpha = 1.0 - fmath::exp(-density.max(0.0) * dt.max(0.0));
         self.add_alpha_sample(color, alpha);
     }
 

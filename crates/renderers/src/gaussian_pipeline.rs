@@ -33,15 +33,17 @@
 //! The seed-era scalar path is kept as [`GaussianPipeline::render_scalar`]
 //! — the parity baseline for tests and the speedup baseline for
 //! `benches/render_hot.rs`. The two paths make bit-identical per-sample
-//! decisions: the SoA path's log-space early-out
-//! (`power < ln(1/255 / opacity) - margin`) only skips pairs the scalar
-//! `alpha < 1/255` test would also reject after the `exp`.
+//! decisions: both weigh a pair with [`ProjectedSplat::falloff`]'s
+//! expression on the one owned [`fmath::exp`], and the SoA path's
+//! log-space early-out (`power < ln(1/255 / opacity) - margin`) only
+//! skips pairs the scalar `alpha < 1/255` test would also reject after
+//! the `exp`.
 
 use crate::blending::RayAccumulator;
 use crate::probe::Probe;
 use crate::Renderer;
 use std::cell::RefCell;
-use uni_geometry::{Camera, Image, Rgb};
+use uni_geometry::{fmath, Camera, Image, Rgb};
 use uni_microops::{Invocation, Pipeline, PrimitiveKind, Trace, Workload};
 use uni_scene::{BakedScene, GaussianCloud, ProjectedSplat};
 
@@ -49,10 +51,11 @@ use uni_scene::{BakedScene, GaussianCloud, ProjectedSplat};
 /// 1/255 threshold).
 const MIN_ALPHA: f32 = 1.0 / 255.0;
 
-/// Log-space safety margin for the pre-`exp` alpha cutoff. `f32::exp`'s
-/// relative error is ~1e-7, so 0.01 in log space conservatively covers
-/// it: every pair skipped by the log-space test would also fail the
-/// seed's post-`exp` `alpha < 1/255` test.
+/// Log-space safety margin for the pre-`exp` alpha cutoff. The cut's
+/// libm `ln` and [`fmath::exp`] each err by about 1e-7 relative, so 0.01
+/// in log space conservatively covers both: every pair skipped by the
+/// log-space test would also fail the seed's post-`exp` `alpha < 1/255`
+/// test.
 const LN_ALPHA_MARGIN: f32 = 0.01;
 
 /// The 3D-Gaussian (splat rasterization) pipeline.
@@ -238,7 +241,7 @@ impl ProjCols {
 
     /// Appends one projected splat, deriving the blending-loop
     /// precomputations (log-space cutoff, reciprocal, vertical reach).
-    fn push(&mut self, s: &ProjectedSplat, color: Rgb) {
+    fn push_splat(&mut self, s: &ProjectedSplat, color: Rgb) {
         self.cx.push(s.center.x);
         self.cy.push(s.center.y);
         self.depth.push(s.depth);
@@ -247,6 +250,7 @@ impl ProjCols {
         self.conic_c.push(s.conic.2);
         self.radius.push(s.radius);
         self.opacity.push(s.opacity);
+        // uni-lint: allow(R12, once per visible splat, not per pixel — LN_ALPHA_MARGIN keeps the cut conservative, so a libm ulp cannot flip an alpha decision)
         let cut = (MIN_ALPHA / s.opacity).ln() - LN_ALPHA_MARGIN;
         self.ln_cut.push(cut);
         self.inv_a.push(1.0 / s.conic.0);
@@ -343,31 +347,6 @@ struct TileScratch {
     last_blend: Vec<u32>,
 }
 
-/// `exp(x)` for `x <= 0` via Cephes-style range reduction and a degree-5
-/// polynomial (~2 ulp). The blending loop calls this once per surviving
-/// (splat, pixel) pair; callers guard the `alpha < 1/255` *decision* by
-/// recomputing with [`f32::exp`] inside a band around the threshold, so
-/// inclusion decisions are identical to the libm path.
-#[inline]
-fn fast_exp_neg(x: f32) -> f32 {
-    const LOG2EF: f32 = std::f32::consts::LOG2_E;
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    let z = (LOG2EF * x + 0.5).floor();
-    let r = (x - z * LN2_HI) - z * LN2_LO;
-    let mut p = 1.987_569_1e-4;
-    p = p * r + 1.398_199_9e-3;
-    p = p * r + 8.333_452e-3;
-    p = p * r + 4.166_579_6e-2;
-    p = p * r + 1.666_666_5e-1;
-    p = p * r + 5.000_000_3e-1;
-    let y = p * r * r + r + 1.0;
-    // 2^z by exponent stuffing; z >= -126 for every power above the
-    // alpha cutoff (the cutoff floor is ln(1/255) - margin ≈ -5.6).
-    let scale = f32::from_bits(((z as i32 + 127) << 23) as u32);
-    y * scale
-}
-
 thread_local! {
     static SCRATCH: RefCell<FrameScratch> = RefCell::new(FrameScratch::default());
 }
@@ -437,7 +416,7 @@ impl GaussianPipeline {
                     if let Some(s) = cloud.project(i as u32, camera, self.alpha_threshold) {
                         let g = &cloud.gaussians[s.index as usize];
                         let dir = (g.mean - camera.eye).normalized();
-                        pb.push(&s, g.color(dir, n_coeffs));
+                        pb.push_splat(&s, g.color(dir, n_coeffs));
                     }
                 }
             });
@@ -690,15 +669,7 @@ impl GaussianPipeline {
                                 if power > 0.0 || power < s.ln_cut {
                                     continue;
                                 }
-                                let mut alpha = s.opacity * fast_exp_neg(power);
-                                // Near the 1/255 cutoff, fall back to libm exp
-                                // for both the decision and the value: inclusion
-                                // then matches the scalar reference exactly (the
-                                // polynomial's ~2 ulp error is far inside the
-                                // 1e-3 guard band).
-                                if (alpha - MIN_ALPHA).abs() <= MIN_ALPHA * 1e-3 {
-                                    alpha = s.opacity * power.exp();
-                                }
+                                let alpha = s.opacity * fmath::exp(power);
                                 if alpha < MIN_ALPHA {
                                     continue;
                                 }

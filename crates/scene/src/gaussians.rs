@@ -7,7 +7,7 @@
 //! the splatting step evaluates per pixel.
 
 use serde::{Deserialize, Serialize};
-use uni_geometry::{sh, Aabb, Camera, Mat3, Rgb, Vec2, Vec3, Vec4};
+use uni_geometry::{fmath, sh, Aabb, Camera, Mat3, Rgb, Vec2, Vec3, Vec4};
 
 /// One 3D Gaussian primitive.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,7 +72,8 @@ pub struct ProjectedSplat {
 }
 
 impl ProjectedSplat {
-    /// Gaussian falloff weight at pixel offset `(dx, dy)` from the center.
+    /// Gaussian falloff weight at pixel offset `(dx, dy)` from the center,
+    /// on the owned [`fmath::exp`] every splat path shares.
     #[inline]
     pub fn falloff(&self, dx: f32, dy: f32) -> f32 {
         let (a, b, c) = self.conic;
@@ -80,7 +81,7 @@ impl ProjectedSplat {
         if power > 0.0 {
             0.0
         } else {
-            power.exp()
+            fmath::exp(power)
         }
     }
 }
@@ -192,6 +193,7 @@ impl GaussianCloud {
             sxy * v1.x + syy * v1.y + syz * v1.z,
             sxz * v1.x + syz * v1.y + szz * v1.z,
         );
+        // uni-lint: allow(R12, once per splat, not per pixel — a camera constant; hoisting it out of the splat loop changes the signature of project)
         let focal_px = camera.height as f32 / (2.0 * (camera.fov_y * 0.5).tan());
         let jz = focal_px / depth;
         // 2D covariance: top-left 2x2 of cov_cam scaled by (f/z)², plus the

@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
+use uni_geometry::fmath;
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{F32x8, FlatMat, Vec3};
 
@@ -36,7 +37,7 @@ impl Activation {
         match self {
             Activation::Linear => x,
             Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Sigmoid => sigmoid(x),
         }
     }
 
@@ -249,7 +250,7 @@ impl Layer {
             let act = match self.activation {
                 Activation::Linear => pre,
                 Activation::Relu => pre.relu(),
-                Activation::Sigmoid => pre.map(|v| 1.0 / (1.0 + (-v).exp())),
+                Activation::Sigmoid => pre.map(sigmoid),
             };
             act.store_prefix(&mut out[p * 8..]);
         }
@@ -695,23 +696,43 @@ impl PositionalEncoding {
     }
 
     /// Encodes a point into a reused buffer (allocation-free hot path).
+    ///
+    /// Output order: the raw coordinates (if included), then per octave
+    /// `sin` of x, y, z followed by `cos` of x, y, z. Each argument is
+    /// `(c * freq) * π`; the arguments of two octaves fill six lanes of
+    /// one [`F32x8`], so six octaves take three [`fmath::sin_cos_x8`]
+    /// calls (lanes 6 and 7 idle).
     pub fn encode_into(&self, p: Vec3, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.out_dim());
         if self.include_input {
             out.extend_from_slice(&[p.x, p.y, p.z]);
         }
+        let coords = F32x8([p.x, p.y, p.z, p.x, p.y, p.z, 0.0, 0.0]);
+        let pi = F32x8::splat(std::f32::consts::PI);
         let mut freq = 1.0f32;
-        for _ in 0..self.num_freqs {
-            for c in [p.x, p.y, p.z] {
-                out.push((c * freq * std::f32::consts::PI).sin());
+        let mut left = self.num_freqs;
+        while left > 0 {
+            let f2 = freq * 2.0;
+            let freqs = F32x8([freq, freq, freq, f2, f2, f2, 0.0, 0.0]);
+            let (sin, cos) = fmath::sin_cos_x8((coords * freqs) * pi);
+            out.extend_from_slice(&sin.0[..3]);
+            out.extend_from_slice(&cos.0[..3]);
+            if left >= 2 {
+                out.extend_from_slice(&sin.0[3..6]);
+                out.extend_from_slice(&cos.0[3..6]);
             }
-            for c in [p.x, p.y, p.z] {
-                out.push((c * freq * std::f32::consts::PI).cos());
-            }
-            freq *= 2.0;
+            left = left.saturating_sub(2);
+            freq = f2 * 2.0;
         }
     }
+}
+
+/// The logistic sigmoid on the owned [`fmath::exp`], shared by the
+/// scalar and the packed kernels.
+#[inline(always)]
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + fmath::exp(-x))
 }
 
 #[cfg(test)]
