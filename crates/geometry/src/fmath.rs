@@ -8,7 +8,7 @@
 //! picks for `sinf`/`expf` (glibc resolves both by CPU at load time).
 //!
 //! Each function comes as a scalar function and an [`F32x8`] one. The
-//! wide function runs the scalar kernel per lane, and the kernel uses
+//! wide function runs the inlined scalar function per lane, which uses
 //! only explicit IEEE operations and bit operations (no FMA contraction,
 //! no reassociation, no float-to-int conversion), so the two agree lane
 //! for lane, bit for bit, whether or not the backend vectorizes.
@@ -46,12 +46,6 @@ pub const EXP_HI: f32 = 88.722_83;
 
 const SIGN: u32 = 0x8000_0000;
 
-/// `sin(x)` and `cos(x)` together, sharing one range reduction.
-#[inline]
-pub fn sin_cos(x: f32) -> (f32, f32) {
-    sin_cos_lane(x)
-}
-
 /// [`sin_cos`] on eight lanes; lane `i` of each result equals
 /// `sin_cos(x[i])` bit for bit.
 #[inline]
@@ -60,16 +54,10 @@ pub fn sin_cos_x8(x: F32x8) -> (F32x8, F32x8) {
     let mut c = [0f32; 8];
     let mut i = 0;
     while i < 8 {
-        (s[i], c[i]) = sin_cos_lane(x.0[i]);
+        (s[i], c[i]) = sin_cos(x.0[i]);
         i += 1;
     }
     (F32x8(s), F32x8(c))
-}
-
-/// `e^x`.
-#[inline]
-pub fn exp(x: f32) -> f32 {
-    exp_lane(x)
 }
 
 /// [`exp`] on eight lanes; lane `i` equals `exp(x[i])` bit for bit.
@@ -78,20 +66,22 @@ pub fn exp_x8(x: F32x8) -> F32x8 {
     let mut r = [0f32; 8];
     let mut i = 0;
     while i < 8 {
-        r[i] = exp_lane(x.0[i]);
+        r[i] = exp(x.0[i]);
         i += 1;
     }
     F32x8(r)
 }
 
-/// Cephes-style `sinf`/`cosf`. `|x|` is reduced by an even multiple `j`
+/// `sin(x)` and `cos(x)` together, sharing one range reduction.
+///
+/// Cephes-style `sinf`/`cosf`: `|x|` is reduced by an even multiple `j`
 /// of π/4 in three parts (the first two products are exact), so the
 /// remainder lies in `[-π/4, π/4]`, where degree-7 (sin) and degree-8
 /// (cos) polynomials hold. The quadrant `j / 2` then swaps the two
 /// polynomials and flips signs, applied as sign-bit XORs so that the
 /// sign of zero survives.
 #[inline(always)]
-fn sin_cos_lane(x: f32) -> (f32, f32) {
+pub fn sin_cos(x: f32) -> (f32, f32) {
     const FOPI: f32 = 1.273_239_5; // 4/π
     const DP1: f32 = 0.785_156_25;
     const DP2: f32 = 2.418_756_5e-4;
@@ -125,18 +115,20 @@ fn sin_cos_lane(x: f32) -> (f32, f32) {
     )
 }
 
-/// Cephes-style `expf`. `x = n·ln2 + r` with `n` rounded to nearest by
+/// `e^x`.
+///
+/// Cephes-style `expf`: `x = n·ln2 + r` with `n` rounded to nearest by
 /// the magic-number trick (adding `1.5·2^23` leaves `n` in the low
 /// mantissa bits, no float-to-int conversion), `r` in `[-ln2/2, ln2/2]`
 /// by a two-part `ln2`, a degree-5 polynomial for `e^r`, then `2^n` by
 /// exponent stuffing. `n` reaches 128 at `EXP_HI`, so `2^n` is applied
 /// as two exact halves.
 #[inline(always)]
-fn exp_lane(x: f32) -> f32 {
+pub fn exp(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     const LN2_HI: f32 = 0.693_359_4;
     const LN2_LO: f32 = -2.121_944_4e-4;
-    // 1.5 · 2^23, as in `sin_cos_lane`.
+    // 1.5 · 2^23, as in `sin_cos`.
     const MAGIC: f32 = 12_582_912.0;
     // Compare-and-select clamps, not `max`/`min`: NaN passes through.
     let xc = if x < EXP_LO { EXP_LO } else { x };

@@ -901,6 +901,28 @@ mod tests {
         assert!((e[7] - 1.0).abs() < 1e-5);
     }
 
+    /// The chunked encoding equals the scalar `fmath::sin_cos` of each
+    /// `(c * freq) * π` argument, in the documented order, bit for bit,
+    /// for an even and an odd octave count (the odd one ends on a
+    /// half-used chunk).
+    #[test]
+    fn chunked_encoding_matches_scalar_sin_cos_in_order() {
+        let p = Vec3::new(0.37, -0.81, 0.05);
+        for octaves in [5, 6] {
+            let got = PositionalEncoding::new(octaves).encode(p);
+            let mut want = vec![p.x, p.y, p.z];
+            let mut freq = 1.0f32;
+            for _ in 0..octaves {
+                let sc = [p.x, p.y, p.z].map(|c| fmath::sin_cos((c * freq) * std::f32::consts::PI));
+                want.extend(sc.map(|v| v.0));
+                want.extend(sc.map(|v| v.1));
+                freq *= 2.0;
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{octaves} octaves");
+        }
+    }
+
     #[test]
     fn weight_bytes_are_two_per_param() {
         let mlp = Mlp::new(&[4, 4], Activation::Relu, Activation::Linear, &mut rng());
