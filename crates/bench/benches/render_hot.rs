@@ -7,8 +7,13 @@
 //!
 //! ```json
 //! { "pipelines": [ { "pipeline": "gaussian", "scalar_ms": ...,
-//!   "optimized_1t_ms": ..., "optimized_ms": ..., "speedup": ... }, ... ] }
+//!   "scalar_iqr_ms": ..., "optimized_1t_ms": ..., "optimized_1t_iqr_ms": ...,
+//!   "optimized_ms": ..., "optimized_iqr_ms": ..., "speedup": ... }, ... ] }
 //! ```
+//!
+//! Each `_ms` column is the median over the harness's timed batches and
+//! each `_iqr_ms` the interquartile range of those batches, so a
+//! column's noise sits next to it; `speedup` is a ratio of medians.
 //!
 //! The scene is the default synthetic demo scene at harness detail; the
 //! camera renders 256×256 frames. "scalar" is each pipeline's
@@ -98,13 +103,14 @@ fn main() {
     }
     group.finish();
 
-    // Pair up the harness's measurements into the machine-readable record.
-    let ms_of = |id: String| -> f64 {
+    // Pair up the harness's measurements into the machine-readable record:
+    // (median, interquartile range) in ms.
+    let ms_of = |id: String| -> (f64, f64) {
         criterion
             .measurements()
             .iter()
             .find(|m| m.id == id)
-            .map(|m| m.secs_per_iter * 1e3)
+            .map(|m| (m.secs_per_iter * 1e3, m.iqr() * 1e3))
             .expect("benchmark ran")
     };
     let mut json = String::new();
@@ -113,17 +119,21 @@ fn main() {
     json.push_str("  \"resolution\": [256, 256],\n");
     json.push_str(&format!("  \"scene_detail\": {HARNESS_DETAIL},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
+    json.push_str(&format!("  \"batches\": {},\n", criterion::BATCHES));
     json.push_str(
         "  \"note\": \"speedup = seed-era scalar path / SoA+counting-sort+band-parallel path \
-         at `threads` workers, measured back to back on this host; optimized_1t_ms is the \
+         at `threads` workers, measured back to back on this host, as a ratio of medians over \
+         `batches` timed batches (each *_iqr_ms is that column's interquartile range); both \
+         paths use the owned uni_geometry::fmath transcendentals; optimized_1t_ms is the \
          same path pinned to one worker, so optimized_1t_ms / optimized_ms is its thread \
          scaling\",\n",
     );
     json.push_str("  \"pipelines\": [\n");
     for (i, (pipeline, _, _)) in pipelines.iter().enumerate() {
-        let scalar_ms = ms_of(format!("render_hot/{pipeline}/scalar"));
-        let optimized_1t_ms = ms_of(format!("render_hot/{pipeline}/optimized_1t"));
-        let optimized_ms = ms_of(format!("render_hot/{pipeline}/optimized"));
+        let (scalar_ms, scalar_iqr_ms) = ms_of(format!("render_hot/{pipeline}/scalar"));
+        let (optimized_1t_ms, optimized_1t_iqr_ms) =
+            ms_of(format!("render_hot/{pipeline}/optimized_1t"));
+        let (optimized_ms, optimized_iqr_ms) = ms_of(format!("render_hot/{pipeline}/optimized"));
         let speedup = scalar_ms / optimized_ms.max(1e-9);
         println!("render_hot/{pipeline}: speedup {speedup:.2}x");
         assert!(
@@ -134,8 +144,11 @@ fn main() {
         );
         json.push_str(&format!(
             "    {{ \"pipeline\": \"{pipeline}\", \"scalar_ms\": {scalar_ms:.4}, \
+             \"scalar_iqr_ms\": {scalar_iqr_ms:.4}, \
              \"optimized_1t_ms\": {optimized_1t_ms:.4}, \
-             \"optimized_ms\": {optimized_ms:.4}, \"speedup\": {speedup:.3} }}{}\n",
+             \"optimized_1t_iqr_ms\": {optimized_1t_iqr_ms:.4}, \
+             \"optimized_ms\": {optimized_ms:.4}, \
+             \"optimized_iqr_ms\": {optimized_iqr_ms:.4}, \"speedup\": {speedup:.3} }}{}\n",
             if i + 1 == pipelines.len() { "" } else { "," }
         ));
     }
