@@ -171,6 +171,13 @@ impl RayGenerator {
         let dir_world = self.inv_view.transform_vector(dir_view).normalized();
         Ray::new_unnormalized(self.eye, dir_world)
     }
+
+    /// Focal length in pixels, `height / (2·tan(fov_y / 2))`: the scale
+    /// of the perspective Jacobian that splat projection applies.
+    #[inline]
+    pub fn focal_px(&self) -> f32 {
+        self.height / (2.0 * self.tan_half)
+    }
 }
 
 /// An orbit of cameras around a target — the camera trajectory used by the

@@ -11,23 +11,26 @@
 //! # Hot-path layout
 //!
 //! The production path ([`Renderer::render`]) is SoA and allocation-free in
-//! steady state:
+//! steady state, and touches each splat once per stage:
 //!
 //! 1. projection + SH evaluation run band-parallel across splats
 //!    (`uni_parallel::par_indices` over [`PROJ_BAND_SPLATS`]-sized bands,
-//!    each compacting into per-band columns reused across frames), then
-//!    concatenate in band order into the frame's visible-splat columns
-//!    (centers, depths, conics, radii, opacities, SH colors) — bit-
-//!    identical to a serial pass;
-//! 2. tile binning counts (splat, tile) pairs per tile, prefix-sums the
-//!    histogram into per-tile segments, and scatters pair keys
-//!    `(tile << 32) | depth_key(depth)` — one **global counting (LSD
-//!    radix) sort** then orders every tile's work list by depth in linear
-//!    passes, replacing the seed's per-patch comparison sorts
-//!    ([`sort_pairs_by_tile_and_depth`]);
-//! 3. blending gathers each tile's sorted splats contiguously and walks
-//!    them per pixel, processing whole rows of tiles as parallel bands
-//!    (`uni_parallel::par_bands`; bands write disjoint image rows).
+//!    each compacting into per-band scratch reused across frames) on one
+//!    per-frame [`SplatProjector`], then concatenate in band order —
+//!    bit-identical to a serial pass. Each visible splat leaves its depth
+//!    key, its tile rectangle, and one packed blending record (center,
+//!    conic, `inv_a`, `ln_cut`, opacity, RGB, vertical reach);
+//! 2. [`bin_tiles_by_depth`] sorts the visible splats by depth (a stable
+//!    LSD counting sort, one [`Bins::build`] pass per 16-bit key digit),
+//!    then bins them into their tiles in that order with the same stable
+//!    kernel, so every tile's list comes out depth-sorted, ties in splat
+//!    order — the order the seed's per-patch comparison sorts produced;
+//! 3. blending processes whole rows of tiles as parallel bands
+//!    (`uni_parallel::par_bands`; bands write disjoint image rows). Each
+//!    tile gathers its records contiguously, buckets them by the
+//!    scanlines they reach, and walks each scanline splat-major; a row
+//!    segment's walk ends once all its pixels have saturated, since a
+//!    saturated pixel never blends again.
 //!
 //! All buffers live in per-thread scratch arenas reused across frames.
 //! The seed-era scalar path is kept as [`GaussianPipeline::render_scalar`]
@@ -37,15 +40,16 @@
 //! expression on the one owned [`fmath::exp`], and the SoA path's
 //! log-space early-out (`power < ln(1/255 / opacity) - margin`) only
 //! skips pairs the scalar `alpha < 1/255` test would also reject after
-//! the `exp`.
+//! the `exp`. Their pixels and work counts are equal.
 
+use crate::binning::{BinRect, Bins};
 use crate::blending::RayAccumulator;
 use crate::probe::Probe;
 use crate::Renderer;
 use std::cell::RefCell;
 use uni_geometry::{fmath, Camera, Image, Rgb};
 use uni_microops::{Invocation, Pipeline, PrimitiveKind, Trace, Workload};
-use uni_scene::{BakedScene, GaussianCloud, ProjectedSplat};
+use uni_scene::{BakedScene, GaussianCloud, ProjectedSplat, SplatProjector};
 
 /// Alpha below which a (splat, pixel) contribution is discarded (the 3DGS
 /// 1/255 threshold).
@@ -77,7 +81,7 @@ impl Default for GaussianPipeline {
 }
 
 /// Maps a depth to a `u32` key whose unsigned order equals
-/// [`f32::total_cmp`] order — the key the global counting sort runs on.
+/// [`f32::total_cmp`] order — the key the depth sort runs on.
 #[inline]
 pub fn depth_key(depth: f32) -> u32 {
     let b = depth.to_bits();
@@ -88,69 +92,31 @@ pub fn depth_key(depth: f32) -> u32 {
     }
 }
 
-/// Stable LSD counting sort of `(key, id)` pairs by the 64-bit key
-/// `(tile << 32) | depth_key`, in 16-bit digits.
+/// Orders splats by depth and lists them per tile: a stable LSD counting
+/// sort of `keys` (one [`Bins::build`] pass per 16-bit digit, low digit
+/// first), then a stable binning of the depth-ordered splats into the
+/// tiles `tile_span` covers, on a grid `tiles_x` tiles wide.
 ///
-/// Three passes cover up to 65 536 tiles; a fourth runs only beyond that.
-/// Passes whose digit is constant across all keys skip their permute.
-/// `keys_tmp`, `ids_tmp`, and `hist` are caller-owned scratch so frame
-/// loops reuse their capacity.
-///
-/// Being a stable sort on a key that orders depths exactly like
-/// [`f32::total_cmp`], the result matches a per-tile
-/// `sort_by(total_cmp)` over pairs scattered in splat order — the
-/// property `tests/render_parity.rs` checks.
-///
-/// # Panics
-///
-/// Panics if `keys` and `ids` lengths differ.
-pub fn sort_pairs_by_tile_and_depth(
-    keys: &mut Vec<u64>,
-    ids: &mut Vec<u32>,
-    keys_tmp: &mut Vec<u64>,
-    ids_tmp: &mut Vec<u32>,
-    hist: &mut Vec<u32>,
-    n_tiles: u32,
+/// Every tile's list therefore holds its splats ordered by depth key,
+/// ties in splat order — what the seed's per-tile stable
+/// `sort_by(total_cmp)` over splat-ordered bins produced, the property
+/// `tests/render_parity.rs` checks. `sort` is scratch; `tiles` holds the
+/// result.
+pub fn bin_tiles_by_depth(
+    keys: &[u32],
+    n_tiles: usize,
+    tiles_x: u32,
+    tile_span: impl Fn(u32) -> BinRect,
+    sort: &mut Bins,
+    tiles: &mut Bins,
 ) {
-    assert_eq!(keys.len(), ids.len(), "one id per key");
-    if keys.len() <= 1 {
-        return;
-    }
     const DIGITS: usize = 1 << 16;
-    hist.clear();
-    hist.resize(DIGITS, 0);
-    keys_tmp.clear();
-    keys_tmp.resize(keys.len(), 0);
-    ids_tmp.clear();
-    ids_tmp.resize(ids.len(), 0);
-
-    let passes: u32 = if n_tiles as usize > DIGITS { 4 } else { 3 };
-    for pass in 0..passes {
-        let shift = 16 * pass;
-        hist.fill(0);
-        for &k in keys.iter() {
-            hist[((k >> shift) & 0xFFFF) as usize] += 1;
-        }
-        // A constant digit leaves the order unchanged; skip the permute.
-        if hist.iter().any(|&c| c as usize == keys.len()) {
-            continue;
-        }
-        // Exclusive prefix sum -> first slot per digit.
-        let mut running = 0u32;
-        for c in hist.iter_mut() {
-            let count = *c;
-            *c = running;
-            running += count;
-        }
-        for (&k, &id) in keys.iter().zip(ids.iter()) {
-            let slot = &mut hist[((k >> shift) & 0xFFFF) as usize];
-            keys_tmp[*slot as usize] = k;
-            ids_tmp[*slot as usize] = id;
-            *slot += 1;
-        }
-        std::mem::swap(keys, keys_tmp);
-        std::mem::swap(ids, ids_tmp);
-    }
+    let n = keys.len() as u32;
+    tiles.build(DIGITS, 1, 0..n, |i| BinRect::one(keys[i as usize] & 0xFFFF));
+    sort.build(DIGITS, 1, tiles.ids().iter().copied(), |i| {
+        BinRect::one(keys[i as usize] >> 16)
+    });
+    tiles.build(n_tiles, tiles_x, sort.ids().iter().copied(), tile_span);
 }
 
 /// The tile span a splat footprint covers, mirroring the seed binning
@@ -164,7 +130,7 @@ fn tile_range(
     ps: u32,
     tiles_x: u32,
     tiles_y: u32,
-) -> Option<(u32, u32, u32, u32)> {
+) -> Option<BinRect> {
     if cx + radius < 0.0 || cy + radius < 0.0 {
         return None;
     }
@@ -175,10 +141,11 @@ fn tile_range(
     if x0 > x1 || y0 > y1 {
         return None;
     }
-    Some((x0, x1, y0, y1))
+    Some(BinRect { x0, x1, y0, y1 })
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Exact work counts of one splat render.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SplatStats {
     gaussians_streamed: u64,
     visible_splats: u64,
@@ -191,126 +158,13 @@ struct SplatStats {
 /// Number of Gaussians one projection band covers. Projection + SH
 /// evaluation parallelize across bands of splats
 /// (`uni_parallel::par_indices`); band results concatenate in band order,
-/// so the global column layout is identical to a serial pass.
+/// so the global layout is identical to a serial pass.
 const PROJ_BAND_SPLATS: usize = 2048;
 
-/// Projected-splat SoA columns, one column per field. Used both for the
-/// per-band projection scratch and for the frame's concatenated columns.
-#[derive(Debug, Default)]
-struct ProjCols {
-    cx: Vec<f32>,
-    cy: Vec<f32>,
-    depth: Vec<f32>,
-    conic_a: Vec<f32>,
-    conic_b: Vec<f32>,
-    conic_c: Vec<f32>,
-    radius: Vec<f32>,
-    opacity: Vec<f32>,
-    /// Per-splat log-space alpha cutoff: `ln(MIN_ALPHA / opacity) - margin`.
-    ln_cut: Vec<f32>,
-    /// Reciprocal of `conic_a` (hoists the per-row division).
-    inv_a: Vec<f32>,
-    /// Vertical half-extent of the `{ power >= ln_cut }` ellipse.
-    dy_max: Vec<f32>,
-    col_r: Vec<f32>,
-    col_g: Vec<f32>,
-    col_b: Vec<f32>,
-}
-
-impl ProjCols {
-    fn clear(&mut self) {
-        self.cx.clear();
-        self.cy.clear();
-        self.depth.clear();
-        self.conic_a.clear();
-        self.conic_b.clear();
-        self.conic_c.clear();
-        self.radius.clear();
-        self.opacity.clear();
-        self.ln_cut.clear();
-        self.inv_a.clear();
-        self.dy_max.clear();
-        self.col_r.clear();
-        self.col_g.clear();
-        self.col_b.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.cx.len()
-    }
-
-    /// Appends one projected splat, deriving the blending-loop
-    /// precomputations (log-space cutoff, reciprocal, vertical reach).
-    fn push_splat(&mut self, s: &ProjectedSplat, color: Rgb) {
-        self.cx.push(s.center.x);
-        self.cy.push(s.center.y);
-        self.depth.push(s.depth);
-        self.conic_a.push(s.conic.0);
-        self.conic_b.push(s.conic.1);
-        self.conic_c.push(s.conic.2);
-        self.radius.push(s.radius);
-        self.opacity.push(s.opacity);
-        // uni-lint: allow(R12, once per visible splat, not per pixel — LN_ALPHA_MARGIN keeps the cut conservative, so a libm ulp cannot flip an alpha decision)
-        let cut = (MIN_ALPHA / s.opacity).ln() - LN_ALPHA_MARGIN;
-        self.ln_cut.push(cut);
-        self.inv_a.push(1.0 / s.conic.0);
-        // The set { power >= cut } is an ellipse; its vertical
-        // half-extent is sqrt(-2·a·cut / (a·c - b²)) (the conic is
-        // positive definite, so a·c - b² > 0).
-        let det = s.conic.0 * s.conic.2 - s.conic.1 * s.conic.1;
-        self.dy_max
-            .push(((-2.0 * s.conic.0 * cut / det.max(1e-12)).max(0.0)).sqrt());
-        self.col_r.push(color.r);
-        self.col_g.push(color.g);
-        self.col_b.push(color.b);
-    }
-
-    /// Concatenates `other`'s columns onto `self` (band-order gather).
-    fn append(&mut self, other: &ProjCols) {
-        self.cx.extend_from_slice(&other.cx);
-        self.cy.extend_from_slice(&other.cy);
-        self.depth.extend_from_slice(&other.depth);
-        self.conic_a.extend_from_slice(&other.conic_a);
-        self.conic_b.extend_from_slice(&other.conic_b);
-        self.conic_c.extend_from_slice(&other.conic_c);
-        self.radius.extend_from_slice(&other.radius);
-        self.opacity.extend_from_slice(&other.opacity);
-        self.ln_cut.extend_from_slice(&other.ln_cut);
-        self.inv_a.extend_from_slice(&other.inv_a);
-        self.dy_max.extend_from_slice(&other.dy_max);
-        self.col_r.extend_from_slice(&other.col_r);
-        self.col_g.extend_from_slice(&other.col_g);
-        self.col_b.extend_from_slice(&other.col_b);
-    }
-}
-
-/// Frame-lifetime SoA buffers, kept in a per-thread scratch arena so
-/// steady-state rendering never touches the allocator.
-#[derive(Debug, Default)]
-struct FrameScratch {
-    /// Concatenated projected-splat columns for the frame.
-    cols: ProjCols,
-    /// Per-band projection scratch (each projection worker locks its own
-    /// band slot; bands are claimed exclusively, so locks never contend).
-    proj: Vec<std::sync::Mutex<ProjCols>>,
-    // Tile binning + global counting sort.
-    counts: Vec<u32>,
-    offsets: Vec<u32>,
-    keys: Vec<u64>,
-    keys_tmp: Vec<u64>,
-    ids: Vec<u32>,
-    ids_tmp: Vec<u32>,
-    hist: Vec<u32>,
-    // Per-band tile gather scratch (each band worker locks its own slot;
-    // bands are claimed exclusively, so locks never contend).
-    bands: Vec<std::sync::Mutex<TileScratch>>,
-}
-
-/// One splat gathered into a tile's work list: everything the blending
-/// loop needs, packed so a splat is one sequential record instead of
-/// eleven strided column reads.
+/// One visible splat packed for blending: everything a (splat, pixel)
+/// test reads, so the per-tile gather copies one record.
 #[derive(Debug, Clone, Copy, Default)]
-struct GatheredSplat {
+struct SplatRecord {
     x: f32,
     y: f32,
     conic_a: f32,
@@ -324,17 +178,96 @@ struct GatheredSplat {
     r: f32,
     g: f32,
     b: f32,
-    /// Scanline span within the band (`row_lo > row_hi`: reaches none).
-    row_lo: u32,
-    row_hi: u32,
+    /// Vertical half-extent of the `{ power >= ln_cut }` ellipse.
+    dy_max: f32,
 }
 
-/// Depth-sorted splat data gathered contiguously for one tile, so the
-/// blending loop streams it cache-linearly — what the seed's per-patch
+/// The frame's visible splats: the two columns binning reads (depth key
+/// and tile rectangle), plus one blending record per splat. Used both
+/// for the per-band projection scratch and for the frame's concatenated
+/// splats.
+#[derive(Debug, Default)]
+struct ProjCols {
+    /// [`depth_key`] of each splat's depth.
+    keys: Vec<u32>,
+    /// The tiles each splat's footprint covers ([`BinRect::EMPTY`]: none).
+    rects: Vec<BinRect>,
+    recs: Vec<SplatRecord>,
+}
+
+impl ProjCols {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.rects.clear();
+        self.recs.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Appends one projected splat, deriving the blending-loop
+    /// precomputations (log-space cutoff, reciprocal, vertical reach).
+    fn push_splat(&mut self, s: &ProjectedSplat, color: Rgb, tiles: Option<BinRect>) {
+        self.keys.push(depth_key(s.depth));
+        self.rects.push(tiles.unwrap_or(BinRect::EMPTY));
+        // uni-lint: allow(R12, once per visible splat, not per pixel — LN_ALPHA_MARGIN keeps the cut conservative, so a libm ulp cannot flip an alpha decision)
+        let cut = (MIN_ALPHA / s.opacity).ln() - LN_ALPHA_MARGIN;
+        // The set { power >= cut } is an ellipse; its vertical
+        // half-extent is sqrt(-2·a·cut / (a·c - b²)) (the conic is
+        // positive definite, so a·c - b² > 0).
+        let (a, b, c) = s.conic;
+        let det = a * c - b * b;
+        self.recs.push(SplatRecord {
+            x: s.center.x,
+            y: s.center.y,
+            conic_a: a,
+            conic_b: b,
+            conic_c: c,
+            inv_a: 1.0 / a,
+            ln_cut: cut,
+            opacity: s.opacity,
+            r: color.r,
+            g: color.g,
+            b: color.b,
+            dy_max: ((-2.0 * a * cut / det.max(1e-12)).max(0.0)).sqrt(),
+        });
+    }
+
+    /// Concatenates `other` onto `self` (band-order gather).
+    fn append(&mut self, other: &ProjCols) {
+        self.keys.extend_from_slice(&other.keys);
+        self.rects.extend_from_slice(&other.rects);
+        self.recs.extend_from_slice(&other.recs);
+    }
+}
+
+/// Frame-lifetime SoA buffers, kept in a per-thread scratch arena so
+/// steady-state rendering never touches the allocator.
+#[derive(Debug, Default)]
+struct FrameScratch {
+    /// The frame's visible splats, in splat order.
+    cols: ProjCols,
+    /// Per-band projection scratch (each projection worker locks its own
+    /// band slot; bands are claimed exclusively, so locks never contend).
+    proj: Vec<std::sync::Mutex<ProjCols>>,
+    /// Depth-sort scratch and the per-tile splat lists in depth order.
+    sort: Bins,
+    tiles: Bins,
+    // Per-band tile gather scratch (each band worker locks its own slot;
+    // bands are claimed exclusively, so locks never contend).
+    bands: Vec<std::sync::Mutex<TileScratch>>,
+}
+
+/// Depth-sorted splat records gathered contiguously for one tile, so the
+/// blending loop streams them cache-linearly — what the seed's per-patch
 /// `Vec` copies bought, without the allocations.
 #[derive(Debug, Default)]
 struct TileScratch {
-    splats: Vec<GatheredSplat>,
+    splats: Vec<SplatRecord>,
+    /// Each gathered splat's scanline span within the band
+    /// (`lo > hi`: reaches none).
+    spans: Vec<(u32, u32)>,
     /// Per-scanline buckets over the tile's splats: `row_lists` holds the
     /// (depth-ordered) tile-local indices of splats whose vertical extent
     /// reaches each row, with `row_offsets` delimiting rows. Built once
@@ -384,22 +317,21 @@ impl GaussianPipeline {
         let FrameScratch {
             cols,
             proj,
-            counts,
-            offsets,
-            keys,
-            keys_tmp,
-            ids,
-            ids_tmp,
-            hist,
+            sort,
+            tiles,
             bands,
         } = scratch;
 
-        // (1) Space conversion + splatting: project every Gaussian into
-        // the SoA columns, evaluating its SH color once per frame (the
-        // "MLP" step). Bands of splats project in parallel into per-band
-        // columns; concatenating the bands in order reproduces the serial
-        // pass bit for bit (per-splat math is untouched and compaction
-        // order is preserved).
+        // (1) Space conversion + splatting: project every Gaussian,
+        // evaluating its SH color and finding its tiles once per frame
+        // (the "MLP" step). Bands of splats project in parallel into
+        // per-band scratch; concatenating the bands in order reproduces
+        // the serial pass bit for bit (per-splat math is untouched and
+        // compaction order is preserved).
+        let ps = self.patch_size;
+        let tiles_x = camera.width.div_ceil(ps);
+        let tiles_y = camera.height.div_ceil(ps);
+        let n_tiles = (tiles_x * tiles_y) as usize;
         let n_coeffs = cloud.coeffs_per_channel();
         let n_proj_bands = cloud.len().div_ceil(PROJ_BAND_SPLATS);
         if proj.len() < n_proj_bands {
@@ -407,16 +339,19 @@ impl GaussianPipeline {
         }
         {
             let proj = &*proj;
+            let projector = SplatProjector::new(camera);
             uni_parallel::par_indices(n_proj_bands, |b| {
                 let mut pb = proj[b].lock().expect("projection band scratch poisoned");
                 pb.clear();
                 let lo = b * PROJ_BAND_SPLATS;
                 let hi = ((b + 1) * PROJ_BAND_SPLATS).min(cloud.len());
                 for i in lo..hi {
-                    if let Some(s) = cloud.project(i as u32, camera, self.alpha_threshold) {
+                    if let Some(s) = cloud.project(i as u32, &projector, self.alpha_threshold) {
                         let g = &cloud.gaussians[s.index as usize];
                         let dir = (g.mean - camera.eye).normalized();
-                        pb.push_splat(&s, g.color(dir, n_coeffs));
+                        let tiles =
+                            tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y);
+                        pb.push_splat(&s, g.color(dir, n_coeffs), tiles);
                     }
                 }
             });
@@ -425,84 +360,14 @@ impl GaussianPipeline {
         for cell in proj.iter().take(n_proj_bands) {
             cols.append(&cell.lock().expect("projection band scratch poisoned"));
         }
-        let visible = cols.len();
-        stats.visible_splats = visible as u64;
-        let ProjCols {
-            cx,
-            cy,
-            depth,
-            conic_a,
-            conic_b,
-            conic_c,
-            radius,
-            opacity,
-            ln_cut,
-            inv_a,
-            dy_max,
-            col_r,
-            col_g,
-            col_b,
-        } = cols;
+        stats.visible_splats = cols.len() as u64;
+        let ProjCols { keys, rects, recs } = cols;
 
-        // (2) Tile binning, pass one: per-tile pair counts.
-        let ps = self.patch_size;
-        let tiles_x = camera.width.div_ceil(ps);
-        let tiles_y = camera.height.div_ceil(ps);
-        let n_tiles = (tiles_x * tiles_y) as usize;
-        counts.clear();
-        counts.resize(n_tiles, 0);
-        for i in 0..visible {
-            if let Some((x0, x1, y0, y1)) =
-                tile_range(cx[i], cy[i], radius[i], ps, tiles_x, tiles_y)
-            {
-                for ty in y0..=y1 {
-                    for tx in x0..=x1 {
-                        counts[(ty * tiles_x + tx) as usize] += 1;
-                    }
-                }
-            }
-        }
-        let pair_total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
-        stats.patch_pairs = pair_total;
-        stats.patches_nonempty = counts.iter().filter(|&&c| c > 0).count() as u64;
-
-        // Exclusive prefix sum -> per-tile segment offsets.
-        offsets.clear();
-        offsets.reserve(n_tiles + 1);
-        let mut running = 0u32;
-        offsets.push(0);
-        for &c in counts.iter() {
-            running += c;
-            offsets.push(running);
-        }
-
-        // Pass two: scatter (key, splat-id) pairs in splat order, so the
-        // stable sort ties off exactly like the seed's stable per-patch
-        // sort over push-ordered bins.
-        keys.clear();
-        keys.resize(pair_total as usize, 0);
-        ids.clear();
-        ids.resize(pair_total as usize, 0);
-        let mut cursor = 0usize;
-        for i in 0..visible {
-            if let Some((x0, x1, y0, y1)) =
-                tile_range(cx[i], cy[i], radius[i], ps, tiles_x, tiles_y)
-            {
-                let dkey = u64::from(depth_key(depth[i]));
-                for ty in y0..=y1 {
-                    for tx in x0..=x1 {
-                        let tile = u64::from(ty * tiles_x + tx);
-                        keys[cursor] = (tile << 32) | dkey;
-                        ids[cursor] = i as u32;
-                        cursor += 1;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(cursor as u64, pair_total);
-
-        // (3) One global counting sort by (tile, depth-key).
-        sort_pairs_by_tile_and_depth(keys, ids, keys_tmp, ids_tmp, hist, tiles_x * tiles_y);
+        // (2)+(3) Depth sort, then tile binning in depth order: every
+        // tile's list comes out depth-sorted.
+        bin_tiles_by_depth(keys, n_tiles, tiles_x, |i| rects[i as usize], sort, tiles);
+        stats.patch_pairs = tiles.ids().len() as u64;
+        stats.patches_nonempty = (0..n_tiles).filter(|&t| !tiles.bin(t).is_empty()).count() as u64;
 
         // (4)+(5) Per-tile gather + front-to-back blending, a row of
         // tiles per band. Bands own disjoint row ranges of the image.
@@ -511,13 +376,9 @@ impl GaussianPipeline {
         }
         let width = camera.width as usize;
         let band_len = (ps as usize) * width;
-        // Reborrow the destructured columns as shared so the band
-        // closures (which run on worker threads) can read them.
-        let (cx, cy, conic_a, conic_b, conic_c, opacity) =
-            (&*cx, &*cy, &*conic_a, &*conic_b, &*conic_c, &*opacity);
-        let (ln_cut, inv_a, dy_max) = (&*ln_cut, &*inv_a, &*dy_max);
-        let (col_r, col_g, col_b) = (&*col_r, &*col_g, &*col_b);
-        let (offsets, ids, bands) = (&*offsets, &*ids, &*bands);
+        // Reborrow as shared so the band closures (which run on worker
+        // threads) can read them.
+        let (recs, tiles, bands) = (&*recs, &*tiles, &*bands);
 
         let (candidate_pairs, blended_pairs) = uni_parallel::par_bands_fold(
             target.pixels_mut(),
@@ -531,9 +392,8 @@ impl GaussianPipeline {
                 let mut tile_scratch = bands[band_ty].lock().expect("band scratch poisoned");
                 let ts = &mut *tile_scratch;
                 for tx in 0..tiles_x {
-                    let tile = band_ty * tiles_x as usize + tx as usize;
-                    let seg = offsets[tile] as usize..offsets[tile + 1] as usize;
-                    if seg.is_empty() {
+                    let ids = tiles.bin(band_ty * tiles_x as usize + tx as usize);
+                    if ids.is_empty() {
                         continue;
                     }
                     // Gather the tile's depth-sorted splats contiguously, and
@@ -542,17 +402,18 @@ impl GaussianPipeline {
                     // keeps depth order within each row). Each scanline then
                     // only ever touches splats that can contribute to it.
                     ts.splats.clear();
+                    ts.spans.clear();
                     ts.row_counts.clear();
                     ts.row_counts.resize(rows_in_band, 0);
-                    for &id in &ids[seg.clone()] {
-                        let id = id as usize;
+                    for &id in ids {
+                        let s = recs[id as usize];
                         // Scanline span: rows whose center is within the
                         // splat's vertical reach (widened 1e-3 px for float
                         // safety; the exact per-pair tests below still run).
-                        let reach = dy_max[id] + 1e-3;
-                        let lo = (cy[id] - reach - 0.5 - y_base as f32).ceil().max(0.0);
-                        let hi = (cy[id] + reach - 0.5 - y_base as f32).floor();
-                        let (row_lo, row_hi) = if hi < lo || lo >= rows_in_band as f32 {
+                        let reach = s.dy_max + 1e-3;
+                        let lo = (s.y - reach - 0.5 - y_base as f32).ceil().max(0.0);
+                        let hi = (s.y + reach - 0.5 - y_base as f32).floor();
+                        let span = if hi < lo || lo >= rows_in_band as f32 {
                             (1, 0) // Empty span.
                         } else {
                             let r0 = lo as u32;
@@ -562,21 +423,8 @@ impl GaussianPipeline {
                             }
                             (r0, r1)
                         };
-                        ts.splats.push(GatheredSplat {
-                            x: cx[id],
-                            y: cy[id],
-                            conic_a: conic_a[id],
-                            conic_b: conic_b[id],
-                            conic_c: conic_c[id],
-                            inv_a: inv_a[id],
-                            ln_cut: ln_cut[id],
-                            opacity: opacity[id],
-                            r: col_r[id],
-                            g: col_g[id],
-                            b: col_b[id],
-                            row_lo,
-                            row_hi,
-                        });
+                        ts.splats.push(s);
+                        ts.spans.push(span);
                     }
                     let n = ts.splats.len();
                     ts.row_offsets.clear();
@@ -589,11 +437,8 @@ impl GaussianPipeline {
                     ts.row_lists.clear();
                     ts.row_lists.resize(run as usize, 0);
                     ts.row_counts.fill(0);
-                    for (k, s) in ts.splats.iter().enumerate() {
-                        if s.row_lo > s.row_hi {
-                            continue;
-                        }
-                        for r in s.row_lo..=s.row_hi {
+                    for (k, &(row_lo, row_hi)) in ts.spans.iter().enumerate() {
+                        for r in row_lo..=row_hi {
                             let slot = ts.row_offsets[r as usize] + ts.row_counts[r as usize];
                             ts.row_lists[slot as usize] = k as u32;
                             ts.row_counts[r as usize] += 1;
@@ -622,6 +467,10 @@ impl GaussianPipeline {
                             ..ts.row_offsets[row_local + 1] as usize;
                         let (accs, last_blend) =
                             (&mut ts.accs[..px_count], &mut ts.last_blend[..px_count]);
+                        // Pixels of the segment still below saturation; the
+                        // walk ends when none is left, since saturated
+                        // pixels never blend again.
+                        let mut live = px_count;
                         for li in row_seg {
                             let j = ts.row_lists[li] as usize;
                             let s = ts.splats[j];
@@ -676,6 +525,10 @@ impl GaussianPipeline {
                                 blended += 1;
                                 acc.add_alpha_sample(color, alpha);
                                 last_blend[pi] = j as u32;
+                                live -= usize::from(acc.saturated());
+                            }
+                            if live == 0 {
+                                break;
                             }
                         }
 
@@ -683,7 +536,7 @@ impl GaussianPipeline {
                         // examined every splat up to (and including) the one
                         // that saturated the ray, or all of them. Skipped
                         // pairs never blend, so the saturation point is
-                        // unchanged by the interval culling.
+                        // unchanged by the interval culling or the early end.
                         for pi in 0..px_count {
                             let acc = ts.accs[pi];
                             candidate += if acc.saturated() {
@@ -710,20 +563,32 @@ impl GaussianPipeline {
     ///
     /// Kept as the parity baseline for the SoA + counting-sort + parallel
     /// path and as the "before" side of `benches/render_hot.rs`. Produces
-    /// the same image as [`Renderer::render`] (within 1e-5 per channel;
-    /// see `tests/render_parity.rs`).
+    /// the same image as [`Renderer::render`] (see
+    /// `tests/render_parity.rs`).
     pub fn render_scalar(&self, scene: &BakedScene, camera: &Camera) -> Image {
+        self.render_scalar_counted(scene, camera).0
+    }
+
+    /// [`GaussianPipeline::render_scalar`] with the seed loop's work
+    /// counts, the reference for the SoA path's [`SplatStats`].
+    fn render_scalar_counted(&self, scene: &BakedScene, camera: &Camera) -> (Image, SplatStats) {
         let bg = scene.field().background();
         let mut img = Image::new(camera.width, camera.height, bg);
         let cloud = scene.gaussians();
+        let mut stats = SplatStats {
+            gaussians_streamed: cloud.len() as u64,
+            ..SplatStats::default()
+        };
 
         // (1) Space conversion + splatting: project every Gaussian.
+        let projector = SplatProjector::new(camera);
         let mut splats: Vec<ProjectedSplat> = Vec::new();
         for i in 0..cloud.len() {
-            if let Some(s) = cloud.project(i as u32, camera, self.alpha_threshold) {
+            if let Some(s) = cloud.project(i as u32, &projector, self.alpha_threshold) {
                 splats.push(s);
             }
         }
+        stats.visible_splats = splats.len() as u64;
 
         // SH color per visible splat, once per frame (the "MLP" step).
         let n_coeffs = cloud.coeffs_per_channel();
@@ -743,13 +608,11 @@ impl GaussianPipeline {
         // uni-lint: allow(R1, seed-faithful scalar baseline — keeps the seed's nested-bin allocation pattern so BENCH_render speedups measure against the real seed cost)
         let mut bins: Vec<Vec<u32>> = vec![Vec::new(); (tiles_x * tiles_y) as usize];
         for (si, s) in splats.iter().enumerate() {
-            let Some((x0, x1, y0, y1)) =
-                tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y)
-            else {
+            let Some(r) = tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y) else {
                 continue;
             };
-            for ty in y0..=y1 {
-                for tx in x0..=x1 {
+            for ty in r.y0..=r.y1 {
+                for tx in r.x0..=r.x1 {
                     bins[(ty * tiles_x + tx) as usize].push(si as u32);
                 }
             }
@@ -762,6 +625,8 @@ impl GaussianPipeline {
                 if bin.is_empty() {
                     continue;
                 }
+                stats.patch_pairs += bin.len() as u64;
+                stats.patches_nonempty += 1;
                 let mut patch_splats: Vec<ProjectedSplat> =
                     bin.iter().map(|&i| splats[i as usize]).collect();
                 let color_of: Vec<Rgb> = bin.iter().map(|&i| colors[i as usize]).collect();
@@ -779,12 +644,14 @@ impl GaussianPipeline {
                             if acc.saturated() {
                                 break;
                             }
+                            stats.candidate_pairs += 1;
                             let dx = px as f32 + 0.5 - s.center.x;
                             let dy = py as f32 + 0.5 - s.center.y;
                             let alpha = s.opacity * s.falloff(dx, dy);
                             if alpha < MIN_ALPHA {
                                 continue;
                             }
+                            stats.blended_pairs += 1;
                             acc.add_alpha_sample(c, alpha);
                         }
                         img.set(px, py, acc.finish(bg));
@@ -792,7 +659,7 @@ impl GaussianPipeline {
                 }
             }
         }
-        img
+        (img, stats)
     }
 
     /// The pipeline's one trace builder: turns a render's splat counts
@@ -925,6 +792,51 @@ mod tests {
                 (a.r - b.r).abs() < 1e-5 && (a.g - b.g).abs() < 1e-5 && (a.b - b.b).abs() < 1e-5,
                 "SoA {a} vs scalar {b}"
             );
+        }
+    }
+
+    /// The SoA path ends a row segment's splat walk once every pixel in
+    /// it saturates; pixels and all six counts still equal the seed
+    /// loop's, at one worker and at four, on frames where most of the
+    /// seed's candidate pairs sit behind saturated pixels.
+    #[test]
+    fn soa_path_matches_scalar_counts_when_rows_saturate_early() {
+        let scene = testutil::scene();
+        let pipeline = GaussianPipeline::default();
+        for (w, h) in [(96, 72), (64, 40)] {
+            let camera = testutil::camera(scene, w, h);
+            let (want, want_stats) = pipeline.render_scalar_counted(scene, &camera);
+            // Without saturation every pixel of a tile examines the whole
+            // tile list: patch_pairs × 256 bounds that from above.
+            // Without saturation every pixel of a tile would examine the
+            // tile's whole list; require a quarter of those pairs cut.
+            pipeline.render_internal(scene, &camera, &mut Image::empty());
+            let unsaturated: u64 = SCRATCH.with(|cell| {
+                let tiles = &cell.borrow().tiles;
+                let ps = pipeline.patch_size;
+                let tiles_x = w.div_ceil(ps);
+                (0..tiles.n_bins() as u32)
+                    .map(|t| {
+                        let (x0, y0) = (t % tiles_x * ps, t / tiles_x * ps);
+                        let pixels = ((x0 + ps).min(w) - x0) * ((y0 + ps).min(h) - y0);
+                        tiles.bin(t as usize).len() as u64 * u64::from(pixels)
+                    })
+                    .sum()
+            });
+            assert!(
+                want_stats.candidate_pairs * 4 < unsaturated * 3,
+                "{w}x{h}: too little saturation to exercise the early end \
+                 ({} of {unsaturated} pairs)",
+                want_stats.candidate_pairs
+            );
+            for workers in [1, 4] {
+                let prev = uni_parallel::set_worker_count(Some(workers));
+                let mut img = Image::empty();
+                let stats = pipeline.render_internal(scene, &camera, &mut img);
+                uni_parallel::set_worker_count(prev);
+                assert_eq!(stats, want_stats, "{w}x{h}, {workers} workers");
+                assert_eq!(img, want, "{w}x{h}, {workers} workers");
+            }
         }
     }
 

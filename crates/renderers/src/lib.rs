@@ -17,6 +17,7 @@
 //! Sec. IV — the trace drives the Uni-Render accelerator simulator and
 //! every baseline device model. `render_traced` does both from one render.
 
+pub mod binning;
 pub mod blending;
 pub mod gaussian_pipeline;
 pub mod hashgrid_pipeline;

@@ -5,6 +5,7 @@
 //! texture atlas, rasterized with a Z-buffer, shaded by a small deferred
 //! MLP for view-dependent color.
 
+use crate::binning::BinRect;
 use crate::probe::Probe;
 use crate::{emit_mlp_layers, Renderer};
 use uni_geometry::{Camera, Image, Rgb, Vec2, Vec3};
@@ -26,7 +27,7 @@ impl Default for MeshPipeline {
 }
 
 /// Exact work counts from one rasterization pass.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RasterStats {
     pub vertices_projected: u64,
     pub triangles_streamed: u64,
@@ -45,17 +46,68 @@ impl RasterStats {
     }
 }
 
-/// Rasterizes the triangles overlapping rows `[y0, y0 + rows)` into a
-/// Z-buffer band (`rows × width` slots).
+/// One triangle's screen-space set-up: its projected corners (screen
+/// position, view depth) and its clamped bounding box, the PE pre-load
+/// region of Fig. 10.
+#[derive(Debug, Clone, Copy)]
+struct TriSetup {
+    a: (Vec2, f32),
+    b: (Vec2, f32),
+    c: (Vec2, f32),
+    min_x: usize,
+    max_x: usize,
+    min_y: usize,
+    max_y: usize,
+}
+
+impl TriSetup {
+    /// Sets up triangle `t` on a `w × h` frame. `None` when the near
+    /// plane clips a corner or the bounding box misses the frame.
+    #[inline]
+    fn new(
+        mesh: &TriangleMesh,
+        projected: &[Option<(Vec2, f32)>],
+        t: usize,
+        w: usize,
+        h: usize,
+    ) -> Option<Self> {
+        if w == 0 || h == 0 {
+            return None;
+        }
+        let i = t * 3;
+        let a = projected[mesh.indices[i] as usize]?;
+        let b = projected[mesh.indices[i + 1] as usize]?;
+        let c = projected[mesh.indices[i + 2] as usize]?;
+        let min_x = a.0.x.min(b.0.x).min(c.0.x).floor().max(0.0) as usize;
+        let max_x = (a.0.x.max(b.0.x).max(c.0.x).ceil() as usize).min(w - 1);
+        let min_y = a.0.y.min(b.0.y).min(c.0.y).floor().max(0.0) as usize;
+        let max_y = (a.0.y.max(b.0.y).max(c.0.y).ceil() as usize).min(h - 1);
+        (min_x <= max_x && min_y <= max_y).then_some(Self {
+            a,
+            b,
+            c,
+            min_x,
+            max_x,
+            min_y,
+            max_y,
+        })
+    }
+}
+
+/// Rasterizes triangles `tris` (ascending indices) into the Z-buffer
+/// band of rows `[y0, y0 + rows)` (`rows × width` slots).
 ///
-/// Every triangle is tested against the band's row range; per-pixel
-/// results and counts are identical to a whole-frame pass because each
-/// pixel sees triangles in the same (index) order regardless of banding.
-/// `triangles_streamed` is attributed to the band owning the triangle's
-/// clamped top row so the banded counts sum to the scalar pass exactly.
+/// The banded pass hands each band only its own bin of triangles (the
+/// ones whose bounding box reaches it); the scalar pass hands the one
+/// whole-frame band every triangle. Either way each pixel sees its
+/// triangles in index order through the same per-pixel expressions, so
+/// hits and counts match bit for bit. `triangles_streamed` is
+/// attributed to the band owning the triangle's clamped top row, so the
+/// banded counts sum to the scalar pass exactly.
 fn rasterize_rows(
     mesh: &TriangleMesh,
     projected: &[Option<(Vec2, f32)>],
+    tris: impl Iterator<Item = u32>,
     w: usize,
     h: usize,
     y0: usize,
@@ -64,28 +116,21 @@ fn rasterize_rows(
     let rows = band.len() / w.max(1);
     let band_end = y0 + rows; // exclusive
     let mut stats = RasterStats::default();
-    for t in 0..mesh.triangle_count() {
-        let i = t * 3;
-        let (Some(a), Some(b), Some(c)) = (
-            projected[mesh.indices[i] as usize],
-            projected[mesh.indices[i + 1] as usize],
-            projected[mesh.indices[i + 2] as usize],
-        ) else {
-            continue; // Clipped by the near plane.
-        };
-        // Screen bounding box (the PE pre-load region of Fig. 10).
-        let min_x = a.0.x.min(b.0.x).min(c.0.x).floor().max(0.0) as usize;
-        let max_x = (a.0.x.max(b.0.x).max(c.0.x).ceil() as usize).min(w.saturating_sub(1));
-        let min_y = a.0.y.min(b.0.y).min(c.0.y).floor().max(0.0) as usize;
-        let max_y = (a.0.y.max(b.0.y).max(c.0.y).ceil() as usize).min(h.saturating_sub(1));
-        if min_x > max_x || min_y > max_y {
+    for t in tris {
+        let Some(TriSetup {
+            a,
+            b,
+            c,
+            min_x,
+            max_x,
+            min_y,
+            max_y,
+        }) = TriSetup::new(mesh, projected, t as usize, w, h)
+        else {
             continue;
-        }
+        };
         if (y0..band_end).contains(&min_y) {
             stats.triangles_streamed += 1;
-        }
-        if min_y >= band_end || max_y < y0 {
-            continue; // No overlap with this band.
         }
         let ab = b.0 - a.0;
         let ac = c.0 - a.0;
@@ -112,7 +157,7 @@ fn rasterize_rows(
                 // Min. Hold: keep the nearest primitive.
                 if slot.is_none_or(|hit| depth < hit.depth) {
                     *slot = Some(PixelHitPublic {
-                        triangle: t as u32,
+                        triangle: t,
                         bary: (w0, w1, w2),
                         depth,
                     });
@@ -126,17 +171,25 @@ fn rasterize_rows(
 }
 
 /// Rasterizes the mesh into a per-pixel hit buffer with exact work
-/// counts, processing bands of rows in parallel. Writes into
-/// caller-owned buffers: `rs.zbuf` holds the hit buffer on return, and
-/// both it and the projected-vertex cache reuse their capacity across
-/// frames.
+/// counts. Each frame projects every vertex once, bins every triangle
+/// once into the [`BAND_ROWS`](crate::scratch::BAND_ROWS)-row bands its
+/// bounding box reaches (stable, so each bin lists its triangles in
+/// index order), then rasterizes the bands in parallel, each walking
+/// only its own bin. Writes into caller-owned buffers: `rs.zbuf` holds
+/// the hit buffer on return, and it, the projected-vertex cache and the
+/// bins reuse their capacity across frames.
 pub(crate) fn rasterize_into(
     mesh: &TriangleMesh,
     camera: &Camera,
     rs: &mut crate::scratch::RasterScratch,
 ) -> RasterStats {
     let (w, h) = (camera.width as usize, camera.height as usize);
-    let crate::scratch::RasterScratch { zbuf, projected } = rs;
+    let crate::scratch::RasterScratch {
+        zbuf,
+        projected,
+        spans,
+        bins,
+    } = rs;
     zbuf.clear();
     zbuf.resize(w * h, None);
 
@@ -148,8 +201,27 @@ pub(crate) fn rasterize_into(
             .map(|&p| camera.project_to_screen(p).map(|(s, _, d)| (s, d))),
     );
 
+    // Set up every triangle once: its band span, packed `lo << 16 | hi`
+    // (`u32::MAX`: culled), then bin the triangles by band.
     let band_rows = crate::scratch::BAND_ROWS as usize;
     let projected = &*projected;
+    spans.clear();
+    spans.extend((0..mesh.triangle_count()).map(|t| {
+        TriSetup::new(mesh, projected, t, w, h).map_or(u32::MAX, |s| {
+            ((s.min_y / band_rows) as u32) << 16 | (s.max_y / band_rows) as u32
+        })
+    }));
+    let spans = &*spans;
+    bins.build(
+        h.div_ceil(band_rows),
+        1,
+        0..spans.len() as u32,
+        |t| match spans[t as usize] {
+            u32::MAX => BinRect::EMPTY,
+            s => BinRect::rows(s >> 16, s & 0xFFFF),
+        },
+    );
+    let bins = &*bins;
     uni_parallel::par_bands_fold(
         zbuf,
         band_rows * w,
@@ -157,7 +229,10 @@ pub(crate) fn rasterize_into(
             vertices_projected: mesh.vertex_count() as u64,
             ..RasterStats::default()
         },
-        |band, chunk| rasterize_rows(mesh, projected, w, h, band * band_rows, chunk),
+        |band, chunk| {
+            let tris = bins.bin(band).iter().copied();
+            rasterize_rows(mesh, projected, tris, w, h, band * band_rows, chunk)
+        },
         |mut acc, s| {
             acc.merge(s);
             acc
@@ -166,7 +241,7 @@ pub(crate) fn rasterize_into(
 }
 
 /// Single-threaded whole-frame rasterization (parity/bench baseline for
-/// the banded pass above).
+/// the binned, banded pass above): one band, every triangle.
 pub(crate) fn rasterize_scalar(
     mesh: &TriangleMesh,
     camera: &Camera,
@@ -178,7 +253,8 @@ pub(crate) fn rasterize_scalar(
         .iter()
         .map(|&p| camera.project_to_screen(p).map(|(s, _, d)| (s, d)))
         .collect();
-    let mut stats = rasterize_rows(mesh, &projected, w, h, 0, &mut zbuf);
+    let tris = 0..mesh.triangle_count() as u32;
+    let mut stats = rasterize_rows(mesh, &projected, tris, w, h, 0, &mut zbuf);
     stats.vertices_projected = mesh.vertex_count() as u64;
     (zbuf, stats)
 }
@@ -442,6 +518,59 @@ mod tests {
         assert!(stats.candidate_pairs >= stats.zbuffer_updates);
         assert!(stats.zbuffer_updates >= stats.covered_pixels);
         assert!(stats.triangles_streamed > 0);
+    }
+
+    /// The binned, banded rasterizer reproduces the whole-frame scalar
+    /// pass bit for bit — hit buffer and all five counts — on heights off
+    /// the 16-row band grid, with triangles crossing band edges and
+    /// corners clipped by the near plane, at one worker and at four.
+    #[test]
+    fn binned_raster_matches_scalar_bit_for_bit() {
+        let scene = testutil::scene();
+        let mesh = scene.mesh();
+        let mut crossed = false;
+        for (w, h) in [(96, 40), (33, 17), (64, 48)] {
+            let orbit = testutil::camera(scene, w, h);
+            // A near plane through the middle of the content clips the
+            // corners of the triangles straddling it.
+            let near = (scene.bounds().center() - orbit.eye).length();
+            for camera in [orbit, orbit.with_clip(near, near * 10.0)] {
+                let (want, want_stats) = rasterize_scalar(mesh, &camera);
+                for workers in [1, 4] {
+                    let prev = uni_parallel::set_worker_count(Some(workers));
+                    let mut rs = crate::scratch::RasterScratch::default();
+                    let stats = rasterize_into(mesh, &camera, &mut rs);
+                    uni_parallel::set_worker_count(prev);
+                    let tag = format!("{w}x{h}, near {}, {workers} workers", camera.near);
+                    assert_eq!(stats, want_stats, "{tag}");
+                    assert!(stats.triangles_streamed > 0, "{tag}");
+                    let bits = |hit: &Option<PixelHitPublic>| {
+                        hit.map(|h| {
+                            let (w0, w1, w2) = h.bary;
+                            let b = [w0.to_bits(), w1.to_bits(), w2.to_bits(), h.depth.to_bits()];
+                            (h.triangle, b)
+                        })
+                    };
+                    assert!(
+                        rs.zbuf.iter().map(bits).eq(want.iter().map(bits)),
+                        "{tag}: hit buffers differ"
+                    );
+                    // The cases exercise what binning must get right:
+                    // triangles in more than one band's bin, and clipped
+                    // corners.
+                    let binned: usize = (0..rs.bins.n_bins()).map(|b| rs.bins.bin(b).len()).sum();
+                    let distinct = rs.spans.iter().filter(|&&s| s != u32::MAX).count();
+                    crossed |= binned > distinct;
+                    if camera.near > orbit.near {
+                        assert!(
+                            rs.projected.iter().any(Option::is_none),
+                            "{tag}: nothing clipped"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(crossed, "no triangle crossed a band edge");
     }
 
     #[test]

@@ -38,14 +38,18 @@ pub(crate) struct RayScratch {
 /// Reusable whole-frame rasterization buffers (mesh + hybrid pipelines).
 ///
 /// Consulted once per frame on the orchestrating thread (not per band),
-/// so the Z-buffer and the projected-vertex cache stop being per-frame
-/// allocations once their capacities settle.
+/// so the Z-buffer, the projected-vertex cache and the band bins stop
+/// being per-frame allocations once their capacities settle.
 #[derive(Debug, Default)]
 pub(crate) struct RasterScratch {
     /// Per-pixel nearest-hit buffer, row-major.
     pub zbuf: Vec<Option<crate::mesh_pipeline::PixelHitPublic>>,
     /// Per-vertex projected screen position + depth.
     pub projected: Vec<Option<(uni_geometry::Vec2, f32)>>,
+    /// Per-triangle band span, packed `first << 16 | last`.
+    pub spans: Vec<u32>,
+    /// Per-band triangle id lists.
+    pub bins: crate::binning::Bins,
 }
 
 thread_local! {

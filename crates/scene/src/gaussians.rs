@@ -139,8 +139,8 @@ impl GaussianCloud {
         self.gaussians.len() as u64 * floats * 4
     }
 
-    /// Projects one Gaussian through a camera (EWA-style local affine
-    /// approximation); the splatting step of Fig. 6.
+    /// Projects one Gaussian through the frame's camera (EWA-style local
+    /// affine approximation); the splatting step of Fig. 6.
     ///
     /// Returns `None` when the Gaussian is behind the near plane or its
     /// projected opacity falls below `alpha_threshold` (the paper's
@@ -148,11 +148,11 @@ impl GaussianCloud {
     pub fn project(
         &self,
         index: u32,
-        camera: &Camera,
+        projector: &SplatProjector<'_>,
         alpha_threshold: f32,
     ) -> Option<ProjectedSplat> {
         let g = &self.gaussians[index as usize];
-        let (center, _ndc_z, depth) = camera.project_to_screen(g.mean)?;
+        let (center, _ndc_z, depth) = projector.camera.project_to_screen(g.mean)?;
         if g.opacity < alpha_threshold {
             return None;
         }
@@ -172,17 +172,7 @@ impl GaussianCloud {
         let sxy = s2.x * r0.x * r0.y + s2.y * r1.x * r1.y + s2.z * r2.x * r2.y;
         let sxz = s2.x * r0.x * r0.z + s2.y * r1.x * r1.z + s2.z * r2.x * r2.z;
         let syz = s2.x * r0.y * r0.z + s2.y * r1.y * r1.z + s2.z * r2.y * r2.z;
-        // Rows 0 and 1 of the view rotation (world -> camera axes).
-        let v0 = Vec3::new(
-            camera.view.cols[0].x,
-            camera.view.cols[1].x,
-            camera.view.cols[2].x,
-        );
-        let v1 = Vec3::new(
-            camera.view.cols[0].y,
-            camera.view.cols[1].y,
-            camera.view.cols[2].y,
-        );
+        let (v0, v1) = (projector.v0, projector.v1);
         let sv0 = Vec3::new(
             sxx * v0.x + sxy * v0.y + sxz * v0.z,
             sxy * v0.x + syy * v0.y + syz * v0.z,
@@ -193,9 +183,7 @@ impl GaussianCloud {
             sxy * v1.x + syy * v1.y + syz * v1.z,
             sxz * v1.x + syz * v1.y + szz * v1.z,
         );
-        // uni-lint: allow(R12, once per splat, not per pixel — a camera constant; hoisting it out of the splat loop changes the signature of project)
-        let focal_px = camera.height as f32 / (2.0 * (camera.fov_y * 0.5).tan());
-        let jz = focal_px / depth;
+        let jz = projector.focal_px / depth;
         // 2D covariance: top-left 2x2 of cov_cam scaled by (f/z)², plus the
         // 0.3px antialias floor used by 3DGS.
         let a = v0.dot(sv0) * jz * jz + 0.3;
@@ -218,6 +206,32 @@ impl GaussianCloud {
             opacity: g.opacity,
             index,
         })
+    }
+}
+
+/// The per-frame camera constants of [`GaussianCloud::project`], set up
+/// once per frame instead of once per splat (the splat-side sibling of
+/// [`uni_geometry::RayGenerator`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SplatProjector<'a> {
+    camera: &'a Camera,
+    /// Rows 0 and 1 of the view rotation (world -> camera axes).
+    v0: Vec3,
+    v1: Vec3,
+    /// Focal length in pixels, from the camera's ray generator.
+    focal_px: f32,
+}
+
+impl<'a> SplatProjector<'a> {
+    /// Sets up the projection constants of `camera`.
+    pub fn new(camera: &'a Camera) -> Self {
+        let v = &camera.view.cols;
+        Self {
+            camera,
+            v0: Vec3::new(v[0].x, v[1].x, v[2].x),
+            v1: Vec3::new(v[0].y, v[1].y, v[2].y),
+            focal_px: camera.ray_generator().focal_px(),
+        }
     }
 }
 
@@ -290,7 +304,9 @@ mod tests {
             gaussians: vec![unit_gaussian(Vec3::ZERO, 0.1)],
             sh_degree: 1,
         };
-        let s = cloud.project(0, &test_camera(), 0.01).expect("visible");
+        let s = cloud
+            .project(0, &SplatProjector::new(&test_camera()), 0.01)
+            .expect("visible");
         assert!((s.center.x - 320.0).abs() < 0.5);
         assert!((s.center.y - 240.0).abs() < 0.5);
         assert!((s.depth - 5.0).abs() < 1e-3);
@@ -303,7 +319,9 @@ mod tests {
             gaussians: vec![unit_gaussian(Vec3::new(0.0, 0.0, 10.0), 0.1)],
             sh_degree: 1,
         };
-        assert!(cloud.project(0, &test_camera(), 0.01).is_none());
+        assert!(cloud
+            .project(0, &SplatProjector::new(&test_camera()), 0.01)
+            .is_none());
     }
 
     #[test]
@@ -314,7 +332,9 @@ mod tests {
             gaussians: vec![g],
             sh_degree: 1,
         };
-        assert!(cloud.project(0, &test_camera(), 0.01).is_none());
+        assert!(cloud
+            .project(0, &SplatProjector::new(&test_camera()), 0.01)
+            .is_none());
     }
 
     #[test]
@@ -326,8 +346,12 @@ mod tests {
             ],
             sh_degree: 1,
         };
-        let near = cloud.project(0, &test_camera(), 0.01).expect("near");
-        let far = cloud.project(1, &test_camera(), 0.01).expect("far");
+        let near = cloud
+            .project(0, &SplatProjector::new(&test_camera()), 0.01)
+            .expect("near");
+        let far = cloud
+            .project(1, &SplatProjector::new(&test_camera()), 0.01)
+            .expect("far");
         assert!(near.radius > far.radius);
         assert!(near.depth < far.depth);
     }
@@ -338,7 +362,9 @@ mod tests {
             gaussians: vec![unit_gaussian(Vec3::ZERO, 0.3)],
             sh_degree: 1,
         };
-        let s = cloud.project(0, &test_camera(), 0.01).expect("visible");
+        let s = cloud
+            .project(0, &SplatProjector::new(&test_camera()), 0.01)
+            .expect("visible");
         let at_center = s.falloff(0.0, 0.0);
         let off = s.falloff(s.radius * 0.8, 0.0);
         assert!((at_center - 1.0).abs() < 1e-5);

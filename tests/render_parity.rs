@@ -4,17 +4,18 @@
 //! pipelines, the reusable-target entry point `render_into` must be
 //! bit-identical to `render` (it *is* the same path, writing into a
 //! caller-owned buffer), `render_traced` must write the same pixels and
-//! trace the frame exactly like `trace()` up to the probe cap, and the
-//! global counting sort must order (tile, depth) pairs exactly like the
-//! comparison sort it replaced, and the wide corner-blend kernels must
-//! match plain per-channel loops bit for bit.
+//! trace the frame exactly like `trace()` up to the probe cap, the
+//! depth sort + stable tile binning must list every tile exactly like
+//! the per-tile comparison sort it replaced, and the wide corner-blend
+//! kernels must match plain per-channel loops bit for bit.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use uni_render::geometry::interp::{blend_bilinear, blend_trilinear, Blend};
 use uni_render::geometry::sampling::XorShift64;
 use uni_render::prelude::*;
-use uni_render::renderers::gaussian_pipeline::{depth_key, sort_pairs_by_tile_and_depth};
+use uni_render::renderers::binning::{BinRect, Bins};
+use uni_render::renderers::gaussian_pipeline::{bin_tiles_by_depth, depth_key};
 use uni_render::scene::nn::Layer;
 use uni_render::scene::Activation;
 
@@ -171,44 +172,51 @@ fn render_into_reuses_the_target_allocation() {
 }
 
 proptest! {
-    /// The global counting sort orders (tile, depth-key) pairs exactly
-    /// like the seed's per-patch stable comparison sort: grouped by tile,
-    /// by `f32::total_cmp` on depth within a tile, ties in original
-    /// (splat) order.
+    /// Depth-sorting the splats and binning them into tiles in that order
+    /// lists every tile exactly like the seed's per-patch stable
+    /// comparison sort: the splats whose footprint covers the tile, by
+    /// `f32::total_cmp` on depth, ties in original (splat) order.
     #[test]
-    fn prop_counting_sort_matches_comparison_sort(
-        pairs in proptest::collection::vec((0u32..64, 0u32..512), 0..400),
+    fn prop_depth_ordered_tile_bins_match_comparison_sort(
+        splats in proptest::collection::vec((0u32..8, 0u32..3, 0u32..8, 0u32..3, 0u32..512), 0..300),
     ) {
-        let n_tiles = 64u32;
-        // Quantized depths provoke plenty of exact ties; negative and
-        // subnormal-ish values exercise the total_cmp key mapping.
-        let depths: Vec<f32> = pairs.iter().map(|&(_, d)| d as f32 * 0.25 - 40.0).collect();
-        let mut keys: Vec<u64> = pairs
+        let (tiles_x, tiles_y) = (8u32, 8u32);
+        let rects: Vec<BinRect> = splats
             .iter()
-            .zip(&depths)
-            .map(|(&(tile, _), &d)| (u64::from(tile) << 32) | u64::from(depth_key(d)))
+            .map(|&(x0, w, y0, h, _)| BinRect {
+                x0,
+                x1: (x0 + w).min(tiles_x - 1),
+                y0,
+                y1: (y0 + h).min(tiles_y - 1),
+            })
             .collect();
-        let mut ids: Vec<u32> = (0..pairs.len() as u32).collect();
+        // Quantized depths provoke plenty of exact ties; negative values
+        // exercise the total_cmp key mapping.
+        let depths: Vec<f32> = splats.iter().map(|s| s.4 as f32 * 0.25 - 40.0).collect();
+        let keys: Vec<u32> = depths.iter().map(|&d| depth_key(d)).collect();
 
-        // Reference: the ordering the seed's per-patch sort produced.
-        let mut reference: Vec<u32> = ids.clone();
-        reference.sort_by(|&x, &y| {
-            let (tx, dx) = (pairs[x as usize].0, depths[x as usize]);
-            let (ty, dy) = (pairs[y as usize].0, depths[y as usize]);
-            tx.cmp(&ty).then(dx.total_cmp(&dy))
-        });
-
-        let (mut keys_tmp, mut ids_tmp, mut hist) = (Vec::new(), Vec::new(), Vec::new());
-        sort_pairs_by_tile_and_depth(
-            &mut keys,
-            &mut ids,
-            &mut keys_tmp,
-            &mut ids_tmp,
-            &mut hist,
-            n_tiles,
+        let (mut sort, mut tiles) = (Bins::default(), Bins::default());
+        bin_tiles_by_depth(
+            &keys,
+            (tiles_x * tiles_y) as usize,
+            tiles_x,
+            |i| rects[i as usize],
+            &mut sort,
+            &mut tiles,
         );
-        prop_assert_eq!(ids, reference);
-        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys sorted");
+        for ty in 0..tiles_y {
+            for tx in 0..tiles_x {
+                // Reference: the seed's push-ordered bin, stably sorted.
+                let mut reference: Vec<u32> = (0..splats.len() as u32)
+                    .filter(|&i| {
+                        let r = rects[i as usize];
+                        (r.x0..=r.x1).contains(&tx) && (r.y0..=r.y1).contains(&ty)
+                    })
+                    .collect();
+                reference.sort_by(|&a, &b| depths[a as usize].total_cmp(&depths[b as usize]));
+                prop_assert_eq!(tiles.bin((ty * tiles_x + tx) as usize), &reference[..]);
+            }
+        }
     }
 
     /// The depth key is a strictly order-preserving embedding of
