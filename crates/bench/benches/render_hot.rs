@@ -1,5 +1,5 @@
 //! Frame-render hot-path benchmark: scalar seed path vs. the SoA +
-//! counting-sort + band-parallel path, per pipeline.
+//! binned + band-parallel path, per pipeline.
 //!
 //! Runs as a criterion harness (`cargo bench --bench render_hot`) and
 //! emits machine-readable results to `BENCH_render.json` at the
@@ -13,7 +13,8 @@
 //!
 //! Each `_ms` column is the median over the harness's timed batches and
 //! each `_iqr_ms` the interquartile range of those batches, so a
-//! column's noise sits next to it; `speedup` is a ratio of medians.
+//! column's noise sits next to it; `speedup` is a ratio of medians. A
+//! pipeline's three columns run interleaved, batch by batch.
 //!
 //! The scene is the default synthetic demo scene at harness detail; the
 //! camera renders 256×256 frames. "scalar" is each pipeline's
@@ -40,10 +41,11 @@ type Paths = (
     Box<dyn Renderer>,
 );
 
-/// Pipelines recorded but not held to `speedup >= 1.0`: their banded
-/// rasterizer tests every triangle against every band, which at one
-/// worker costs more than banding gains (0.57–0.81× the scalar path
-/// at 256² on a 2-core host), so the gate would fail on 1-core hosts.
+/// Pipelines recorded but not held to `speedup >= 1.0`: their binned
+/// rasterizer sets up each triangle once to bin it and again in its
+/// band's walk, so at one worker it still costs a little more than the
+/// scalar path's single walk (mesh 12.0–12.7 ms against 10.1–11.3 at
+/// 256² on a 2-core host), and the gate would fail on 1-core hosts.
 const NOT_YET_GATED: [&str; 2] = ["mesh", "mixrt"];
 
 fn main() {
@@ -86,22 +88,31 @@ fn main() {
         ),
     ];
 
+    // The three columns of a pipeline are timed batch by batch in turn,
+    // so a busy stretch of a shared host spreads over all of them (and
+    // over `speedup`) instead of landing on one column.
     let mut criterion = Criterion::default();
-    let mut group = criterion.benchmark_group("render_hot");
     for (name, scalar, renderer) in &pipelines {
-        group.bench_function(format!("{name}/scalar"), |b| {
-            b.iter(|| scalar(black_box(&scene), black_box(&camera)));
-        });
-        let prev = uni_parallel::set_worker_count(Some(1));
-        group.bench_function(format!("{name}/optimized_1t"), |b| {
-            b.iter(|| renderer.render(black_box(&scene), black_box(&camera)));
-        });
-        uni_parallel::set_worker_count(prev);
-        group.bench_function(format!("{name}/optimized"), |b| {
-            b.iter(|| renderer.render(black_box(&scene), black_box(&camera)));
-        });
+        let mut scalar_frame = || {
+            black_box(scalar(black_box(&scene), black_box(&camera)));
+        };
+        let mut optimized_1t_frame = || {
+            let prev = uni_parallel::set_worker_count(Some(1));
+            black_box(renderer.render(black_box(&scene), black_box(&camera)));
+            uni_parallel::set_worker_count(prev);
+        };
+        let mut optimized_frame = || {
+            black_box(renderer.render(black_box(&scene), black_box(&camera)));
+        };
+        criterion.bench_interleaved(
+            "render_hot",
+            &mut [
+                (format!("{name}/scalar"), &mut scalar_frame),
+                (format!("{name}/optimized_1t"), &mut optimized_1t_frame),
+                (format!("{name}/optimized"), &mut optimized_frame),
+            ],
+        );
     }
-    group.finish();
 
     // Pair up the harness's measurements into the machine-readable record:
     // (median, interquartile range) in ms.
@@ -121,10 +132,10 @@ fn main() {
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"batches\": {},\n", criterion::BATCHES));
     json.push_str(
-        "  \"note\": \"speedup = seed-era scalar path / SoA+counting-sort+band-parallel path \
-         at `threads` workers, measured back to back on this host, as a ratio of medians over \
-         `batches` timed batches (each *_iqr_ms is that column's interquartile range); both \
-         paths use the owned uni_geometry::fmath transcendentals; optimized_1t_ms is the \
+        "  \"note\": \"speedup = seed-era scalar path / production path (SoA, stable \
+         binning, band-parallel) at `threads` workers, as a ratio of medians over `batches` \
+         timed batches run interleaved with the other two columns (each *_iqr_ms is that \
+         column's interquartile range); both paths use the owned uni_geometry::fmath transcendentals; optimized_1t_ms is the \
          same path pinned to one worker, so optimized_1t_ms / optimized_ms is its thread \
          scaling\",\n",
     );

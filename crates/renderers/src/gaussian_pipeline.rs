@@ -561,7 +561,7 @@ impl GaussianPipeline {
     /// bins, and per-patch stable comparison sorts (by
     /// [`f32::total_cmp`]).
     ///
-    /// Kept as the parity baseline for the SoA + counting-sort + parallel
+    /// Kept as the parity baseline for the SoA + binned + parallel
     /// path and as the "before" side of `benches/render_hot.rs`. Produces
     /// the same image as [`Renderer::render`] (see
     /// `tests/render_parity.rs`).
@@ -806,8 +806,6 @@ mod tests {
         for (w, h) in [(96, 72), (64, 40)] {
             let camera = testutil::camera(scene, w, h);
             let (want, want_stats) = pipeline.render_scalar_counted(scene, &camera);
-            // Without saturation every pixel of a tile examines the whole
-            // tile list: patch_pairs × 256 bounds that from above.
             // Without saturation every pixel of a tile would examine the
             // tile's whole list; require a quarter of those pairs cut.
             pipeline.render_internal(scene, &camera, &mut Image::empty());

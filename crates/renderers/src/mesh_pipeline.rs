@@ -175,9 +175,11 @@ fn rasterize_rows(
 /// once into the [`BAND_ROWS`](crate::scratch::BAND_ROWS)-row bands its
 /// bounding box reaches (stable, so each bin lists its triangles in
 /// index order), then rasterizes the bands in parallel, each walking
-/// only its own bin. Writes into caller-owned buffers: `rs.zbuf` holds
-/// the hit buffer on return, and it, the projected-vertex cache and the
-/// bins reuse their capacity across frames.
+/// only its own bin. A band sets its triangles up again from the
+/// projected corners, so the scratch keeps 4 bytes per triangle, not a
+/// set-up record. Writes into caller-owned buffers: `rs.zbuf` holds the
+/// hit buffer on return, and it, the projected-vertex cache, the spans
+/// and the bins reuse their capacity across frames.
 pub(crate) fn rasterize_into(
     mesh: &TriangleMesh,
     camera: &Camera,
@@ -201,8 +203,8 @@ pub(crate) fn rasterize_into(
             .map(|&p| camera.project_to_screen(p).map(|(s, _, d)| (s, d))),
     );
 
-    // Set up every triangle once: its band span, packed `lo << 16 | hi`
-    // (`u32::MAX`: culled), then bin the triangles by band.
+    // Set up every triangle once for binning: its band span, packed
+    // `first << 16 | last` (`u32::MAX`: culled), then bin by band.
     let band_rows = crate::scratch::BAND_ROWS as usize;
     let projected = &*projected;
     spans.clear();

@@ -1,5 +1,5 @@
-//! Parity tests for the render hot-path overhaul: the SoA +
-//! counting-sort + band-parallel production paths must reproduce the
+//! Parity tests for the render hot-path overhaul: the SoA + binned +
+//! band-parallel production paths must reproduce the
 //! seed-era scalar reference within 1e-5 per channel for all six
 //! pipelines, the reusable-target entry point `render_into` must be
 //! bit-identical to `render` (it *is* the same path, writing into a
