@@ -119,29 +119,20 @@ pub fn bin_tiles_by_depth(
     tiles.build(n_tiles, tiles_x, sort.ids().iter().copied(), tile_span);
 }
 
-/// The tile span a splat footprint covers, mirroring the seed binning
-/// rules exactly (floor/ceil clamps, off-screen rejection). `None` when
-/// the splat lands on no tile.
+/// The tiles a splat footprint covers, mirroring the seed binning rules
+/// exactly (floor/ceil clamps, off-screen rejection). Empty when the
+/// splat lands on no tile.
 #[inline]
-fn tile_range(
-    cx: f32,
-    cy: f32,
-    radius: f32,
-    ps: u32,
-    tiles_x: u32,
-    tiles_y: u32,
-) -> Option<BinRect> {
+fn tile_range(cx: f32, cy: f32, radius: f32, ps: u32, tiles_x: u32, tiles_y: u32) -> BinRect {
     if cx + radius < 0.0 || cy + radius < 0.0 {
-        return None;
+        return BinRect::EMPTY;
     }
-    let x0 = ((cx - radius).floor().max(0.0) as u32) / ps;
-    let x1 = (((cx + radius).ceil().max(0.0) as u32) / ps).min(tiles_x - 1);
-    let y0 = ((cy - radius).floor().max(0.0) as u32) / ps;
-    let y1 = (((cy + radius).ceil().max(0.0) as u32) / ps).min(tiles_y - 1);
-    if x0 > x1 || y0 > y1 {
-        return None;
+    BinRect {
+        x0: ((cx - radius).floor().max(0.0) as u32) / ps,
+        x1: (((cx + radius).ceil().max(0.0) as u32) / ps).min(tiles_x - 1),
+        y0: ((cy - radius).floor().max(0.0) as u32) / ps,
+        y1: (((cy + radius).ceil().max(0.0) as u32) / ps).min(tiles_y - 1),
     }
-    Some(BinRect { x0, x1, y0, y1 })
 }
 
 /// Exact work counts of one splat render.
@@ -190,7 +181,7 @@ struct SplatRecord {
 struct ProjCols {
     /// [`depth_key`] of each splat's depth.
     keys: Vec<u32>,
-    /// The tiles each splat's footprint covers ([`BinRect::EMPTY`]: none).
+    /// The tiles each splat's footprint covers (empty: none).
     rects: Vec<BinRect>,
     recs: Vec<SplatRecord>,
 }
@@ -208,9 +199,9 @@ impl ProjCols {
 
     /// Appends one projected splat, deriving the blending-loop
     /// precomputations (log-space cutoff, reciprocal, vertical reach).
-    fn push_splat(&mut self, s: &ProjectedSplat, color: Rgb, tiles: Option<BinRect>) {
+    fn push_splat(&mut self, s: &ProjectedSplat, color: Rgb, tiles: BinRect) {
         self.keys.push(depth_key(s.depth));
-        self.rects.push(tiles.unwrap_or(BinRect::EMPTY));
+        self.rects.push(tiles);
         // uni-lint: allow(R12, once per visible splat, not per pixel — LN_ALPHA_MARGIN keeps the cut conservative, so a libm ulp cannot flip an alpha decision)
         let cut = (MIN_ALPHA / s.opacity).ln() - LN_ALPHA_MARGIN;
         // The set { power >= cut } is an ellipse; its vertical
@@ -608,9 +599,7 @@ impl GaussianPipeline {
         // uni-lint: allow(R1, seed-faithful scalar baseline — keeps the seed's nested-bin allocation pattern so BENCH_render speedups measure against the real seed cost)
         let mut bins: Vec<Vec<u32>> = vec![Vec::new(); (tiles_x * tiles_y) as usize];
         for (si, s) in splats.iter().enumerate() {
-            let Some(r) = tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y) else {
-                continue;
-            };
+            let r = tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y);
             for ty in r.y0..=r.y1 {
                 for tx in r.x0..=r.x1 {
                     bins[(ty * tiles_x + tx) as usize].push(si as u32);
