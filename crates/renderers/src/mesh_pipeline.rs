@@ -523,9 +523,9 @@ mod tests {
     }
 
     /// The binned, banded rasterizer reproduces the whole-frame scalar
-    /// pass bit for bit — hit buffer and all five counts — on heights off
-    /// the 16-row band grid, with triangles crossing band edges and
-    /// corners clipped by the near plane, at one worker and at four.
+    /// pass bit for bit — hit buffer and all five counts — on heights on
+    /// and off the 16-row band grid, with triangles crossing band edges
+    /// and corners clipped by the near plane, at one worker and at four.
     #[test]
     fn binned_raster_matches_scalar_bit_for_bit() {
         let scene = testutil::scene();
