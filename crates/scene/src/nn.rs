@@ -970,6 +970,68 @@ mod tests {
         }
     }
 
+    /// The production kernel's documented reduction order, one output at a
+    /// time: input `i` goes into accumulator `i % 4` in input order as an
+    /// unfused multiply then add, then `bias + ((a0 + a1) + (a2 + a3))`
+    /// and the activation.
+    fn reference_order(layer: &Layer, x: &[f32], out: &mut [f32]) {
+        for (o, y) in out.iter_mut().enumerate() {
+            let mut acc = [0.0f32; 4];
+            for (i, (&w, &xi)) in layer.weights.row(o).iter().zip(x).enumerate() {
+                acc[i % 4] += w * xi;
+            }
+            let pre = layer.biases[o] + ((acc[0] + acc[1]) + (acc[2] + acc[3]));
+            *y = layer.activation.apply(pre);
+        }
+    }
+
+    /// The packed kernel reproduces [`reference_order`] bit for bit. The
+    /// out widths cover one to four 8-output panels per group and a
+    /// trailing partial group and panel; the in widths cover every
+    /// input tail length 0–3. Zeroed weights, signed-zero inputs and
+    /// signed-zero biases pin the sign of zero sums too.
+    #[test]
+    fn packed_kernel_matches_reference_order_bit_for_bit() {
+        let mut r = rng();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for out_dim in [1usize, 3, 8, 9, 16, 24, 32, 33, 40, 64, 65] {
+            for in_dim in [1usize, 2, 3, 4, 5, 6, 7, 16, 39] {
+                for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid] {
+                    let mut layer = Layer::random(in_dim, out_dim, act, &mut r);
+                    {
+                        let (w, b) = layer.weights_mut();
+                        for (k, wk) in w.iter_mut().enumerate() {
+                            if k % 5 == 2 {
+                                *wk = 0.0;
+                            } else if k % 7 == 3 {
+                                *wk = -0.0;
+                            }
+                        }
+                        for (k, bk) in b.iter_mut().enumerate() {
+                            *bk = match k % 3 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => r.next_f32() * 2.0 - 1.0,
+                            };
+                        }
+                    }
+                    let x: Vec<f32> = (0..in_dim)
+                        .map(|k| match k % 6 {
+                            1 => -0.0,
+                            4 => 0.0,
+                            _ => (r.next_f32() * 2.0 - 1.0) * 3.0,
+                        })
+                        .collect();
+                    let mut got = vec![f32::NAN; out_dim];
+                    let mut want = vec![f32::NAN; out_dim];
+                    layer.forward_slice_packed(&x, &mut got);
+                    reference_order(&layer, &x, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{in_dim}->{out_dim} {act:?}");
+                }
+            }
+        }
+    }
+
     /// Editing weights through `weights_mut` drops the packed panels, so
     /// the next wide forward sees the new parameters.
     #[test]
