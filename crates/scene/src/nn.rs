@@ -41,6 +41,17 @@ impl Activation {
         }
     }
 
+    /// [`Activation::apply`] on eight lanes.
+    // uni-lint: hot
+    #[inline(always)]
+    fn apply_x8(self, x: F32x8) -> F32x8 {
+        match self {
+            Activation::Linear => x,
+            Activation::Relu => x.relu(),
+            Activation::Sigmoid => x.map(sigmoid),
+        }
+    }
+
     /// Derivative expressed in terms of the *activated* output `y`.
     fn derivative_from_output(self, y: f32) -> f32 {
         match self {
@@ -62,39 +73,48 @@ impl Activation {
     }
 }
 
-/// Layer weights repacked into 8-output column panels for the wide GEMM
-/// microkernel.
+/// Layer weights repacked for the register-blocked GEMV kernel.
 ///
-/// Panel `p` covers outputs `8p..8p+8` and stores, for each input `i`,
-/// the eight weights `W[8p + lane][i]` contiguously — so one broadcast
-/// of `x[i]` multiplies against one aligned 8-lane load and eight output
-/// neurons accumulate per inner-loop step. Outputs past `out_dim` are
-/// zero-padded; the tail store masks them off.
+/// Outputs are cut into 8-output panels (panel `p` covers outputs
+/// `8p..8p+8`), and panels into groups of up to four. Within a group of
+/// `G` panels the weights are interleaved input-major: column
+/// `i * G + g` holds the eight weights `W[8(4k + g) + lane][i]` of the
+/// group's panel `g` as one aligned [`F32x8`], so one broadcast of
+/// `x[i]` meets `G` consecutive columns. Group `k` starts at column
+/// `4k * in_dim`. Outputs past `out_dim` are zero-padded; the tail store
+/// masks them off.
 #[derive(Debug, Clone, Default)]
 struct PackedPanels {
-    /// `panels * in_dim * 8` weights, panel-major then input-major.
-    weights: Vec<f32>,
-    /// Biases padded to `panels * 8`.
-    biases: Vec<f32>,
+    /// `panels * in_dim` columns, group-major, then input-major, then
+    /// panel within the group.
+    weights: Vec<F32x8>,
+    /// One padded bias column per panel.
+    biases: Vec<F32x8>,
 }
 
 impl PackedPanels {
+    /// Panels per group: one broadcast feeds up to 16 accumulators.
+    const GROUP: usize = 4;
+
     fn pack(weights: &FlatMat, biases: &[f32]) -> Self {
         let (out_dim, in_dim) = (weights.rows(), weights.cols());
         let panels = out_dim.div_ceil(8);
         // uni-lint: allow(R8, one-time get_or_init panel packing, amortized across every frame — steady_state_alloc confirms 0/frame)
-        let mut packed = vec![0.0f32; panels * in_dim * 8];
+        let mut packed = vec![F32x8::ZERO; panels * in_dim];
         for (o, _) in biases.iter().enumerate() {
-            let row = weights.row(o);
             let (panel, lane) = (o / 8, o % 8);
-            let base = panel * in_dim * 8;
-            for (i, &w) in row.iter().enumerate() {
-                packed[base + i * 8 + lane] = w;
+            let first = panel - panel % Self::GROUP;
+            let g = panel - first;
+            let group_len = (panels - first).min(Self::GROUP);
+            for (i, &w) in weights.row(o).iter().enumerate() {
+                packed[first * in_dim + i * group_len + g].0[lane] = w;
             }
         }
         // uni-lint: allow(R8, one-time get_or_init bias padding, amortized across every frame — steady_state_alloc confirms 0/frame)
-        let mut padded = vec![0.0f32; panels * 8];
-        padded[..out_dim].copy_from_slice(biases);
+        let mut padded = vec![F32x8::ZERO; panels];
+        for (o, &b) in biases.iter().enumerate() {
+            padded[o / 8].0[o % 8] = b;
+        }
         Self {
             weights: packed,
             biases: padded,
@@ -184,7 +204,7 @@ impl Layer {
     }
 
     /// Computes the layer into a preallocated slice of width `out_dim`
-    /// with the production kernel (8-wide GEMM panels).
+    /// with the production kernel (the register-blocked GEMV).
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim(), "input width mismatch");
         assert_eq!(out.len(), self.out_dim(), "output width mismatch");
@@ -200,14 +220,15 @@ impl Layer {
         self.forward_slice_scalar(x, out);
     }
 
-    /// 8-wide GEMM microkernel: eight output neurons accumulate per
-    /// inner-loop step from one broadcast input against one packed panel
-    /// column, on four independent accumulator registers (the mul→add
-    /// chain latency hides behind four in-flight columns per iteration);
-    /// the activation is applied vector-wide. The reduction order is
-    /// fixed (accumulators combined pairwise once at the end), so
-    /// results are bit-stable across runs and across
-    /// `UNI_RENDER_THREADS`.
+    /// Register-blocked GEMV: each group of up to four 8-output panels
+    /// runs through [`forward_group`], where one broadcast of `x[i]`
+    /// feeds every panel of the group.
+    ///
+    /// Per output the reduction order is fixed: input `i` goes into
+    /// accumulator `i % 4` in input order, each step an unfused multiply
+    /// then add, and then `bias + ((a0 + a1) + (a2 + a3))` and the
+    /// activation. Results are therefore independent of the grouping,
+    /// the target ISA and `UNI_RENDER_THREADS`.
     // uni-lint: hot
     fn forward_slice_packed(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim());
@@ -216,43 +237,19 @@ impl Layer {
             .packed
             .get_or_init(|| PackedPanels::pack(&self.weights, &self.biases));
         let in_dim = x.len();
-        let panels = packed.biases.len() / 8;
-        for p in 0..panels {
-            let panel = &packed.weights[p * in_dim * 8..(p + 1) * in_dim * 8];
-            let mut acc0 = F32x8::ZERO;
-            let mut acc1 = F32x8::ZERO;
-            let mut acc2 = F32x8::ZERO;
-            let mut acc3 = F32x8::ZERO;
-            // Zipped chunks keep the input broadcast bounds-check-free,
-            // so the loop body is pure vector loads and arithmetic.
-            let mut quads = panel.chunks_exact(32);
-            let mut inputs = x.chunks_exact(4);
-            for (quad, x4) in (&mut quads).zip(&mut inputs) {
-                acc0 = F32x8::load(&quad[..8]).mul_add(F32x8::splat(x4[0]), acc0);
-                acc1 = F32x8::load(&quad[8..16]).mul_add(F32x8::splat(x4[1]), acc1);
-                acc2 = F32x8::load(&quad[16..24]).mul_add(F32x8::splat(x4[2]), acc2);
-                acc3 = F32x8::load(&quad[24..32]).mul_add(F32x8::splat(x4[3]), acc3);
+        let panels = packed.biases.len();
+        for first in (0..panels).step_by(PackedPanels::GROUP) {
+            let len = (panels - first).min(PackedPanels::GROUP);
+            let cols = &packed.weights[first * in_dim..(first + len) * in_dim];
+            let biases = &packed.biases[first..first + len];
+            let out = &mut out[first * 8..];
+            let act = self.activation;
+            match len {
+                1 => forward_group::<1>(cols, biases, x, act, out),
+                2 => forward_group::<2>(cols, biases, x, act, out),
+                3 => forward_group::<3>(cols, biases, x, act, out),
+                _ => forward_group::<4>(cols, biases, x, act, out),
             }
-            // Up to three tail columns; straight-line reassignments keep
-            // the accumulators in registers (no `&mut` through a match).
-            let tail = quads.remainder();
-            let xt = inputs.remainder();
-            if !xt.is_empty() {
-                acc0 = F32x8::load(&tail[..8]).mul_add(F32x8::splat(xt[0]), acc0);
-            }
-            if xt.len() >= 2 {
-                acc1 = F32x8::load(&tail[8..16]).mul_add(F32x8::splat(xt[1]), acc1);
-            }
-            if xt.len() >= 3 {
-                acc2 = F32x8::load(&tail[16..24]).mul_add(F32x8::splat(xt[2]), acc2);
-            }
-            let pre = F32x8::load(&packed.biases[p * 8..]) + ((acc0 + acc1) + (acc2 + acc3));
-            let act = match self.activation {
-                Activation::Linear => pre,
-                Activation::Relu => pre.relu(),
-                Activation::Sigmoid => pre.map(sigmoid),
-            };
-            act.store_prefix(&mut out[p * 8..]);
         }
     }
 
@@ -278,6 +275,71 @@ impl Layer {
             }
             *out_v = self.activation.apply(sum);
         }
+    }
+}
+
+/// The GEMV microkernel for one group of `G` panels (`G` in 1..=4): `G`
+/// panels times four accumulators, so each broadcast input and each
+/// `chunks_exact` step feed `G` aligned column loads with no bounds
+/// checks. Input `i` lands in accumulator `i % 4`; the up to three tail
+/// inputs are straight-line `if`s with constant accumulator indices,
+/// which keeps the accumulators in registers (a runtime index would
+/// spill them to the stack).
+// uni-lint: hot
+#[inline(always)]
+fn forward_group<const G: usize>(
+    cols: &[F32x8],
+    biases: &[F32x8],
+    x: &[f32],
+    activation: Activation,
+    out: &mut [f32],
+) {
+    let mut acc = [[F32x8::ZERO; 4]; G];
+    let mut steps = cols.chunks_exact(4 * G);
+    let mut inputs = x.chunks_exact(4);
+    for (step, x4) in (&mut steps).zip(&mut inputs) {
+        for r in 0..4 {
+            let xr = F32x8::splat(x4[r]);
+            for g in 0..G {
+                acc[g][r] = step[r * G + g].mul_add(xr, acc[g][r]);
+            }
+        }
+    }
+    let mut tail = steps.remainder().chunks_exact(G).zip(inputs.remainder());
+    if let Some((cols, &xi)) = tail.next() {
+        let xr = F32x8::splat(xi);
+        for g in 0..G {
+            acc[g][0] = cols[g].mul_add(xr, acc[g][0]);
+        }
+    }
+    if let Some((cols, &xi)) = tail.next() {
+        let xr = F32x8::splat(xi);
+        for g in 0..G {
+            acc[g][1] = cols[g].mul_add(xr, acc[g][1]);
+        }
+    }
+    if let Some((cols, &xi)) = tail.next() {
+        let xr = F32x8::splat(xi);
+        for g in 0..G {
+            acc[g][2] = cols[g].mul_add(xr, acc[g][2]);
+        }
+    }
+    // Reduce into a separate array: the activation loop below need not
+    // unroll, and a runtime index into `acc` would pin it to the stack.
+    let mut pre = [F32x8::ZERO; G];
+    for g in 0..G {
+        let [a0, a1, a2, a3] = acc[g];
+        pre[g] = biases[g] + ((a0 + a1) + (a2 + a3));
+    }
+    // Every panel but a layer's last is full width: a fixed 8-lane store.
+    let out_len = out.len().min(8 * G);
+    let mut full = out[..out_len].chunks_exact_mut(8);
+    for (&pre, dst) in pre.iter().zip(&mut full) {
+        activation.apply_x8(pre).store(dst);
+    }
+    let tail = full.into_remainder();
+    if !tail.is_empty() {
+        activation.apply_x8(pre[G - 1]).store_prefix(tail);
     }
 }
 
@@ -380,15 +442,23 @@ impl Mlp {
     /// Panics if `x.len()` differs from the input width.
     pub fn forward_scratch<'s>(&self, x: &[f32], scratch: &'s mut MlpScratch) -> &'s [f32] {
         assert_eq!(x.len(), self.in_dim(), "input width mismatch");
-        scratch.cur.clear();
-        scratch.cur.extend_from_slice(x);
-        for layer in &self.layers {
-            scratch.next.clear();
-            scratch.next.resize(layer.out_dim(), 0.0);
-            layer.forward_slice_packed(&scratch.cur, &mut scratch.next);
-            std::mem::swap(&mut scratch.cur, &mut scratch.next);
+        let widest = self.layers.iter().map(Layer::out_dim).max().unwrap_or(0);
+        if scratch.cur.len() < widest {
+            scratch.cur.resize(widest, 0.0);
+            scratch.next.resize(widest, 0.0);
         }
-        &scratch.cur
+        // The first layer reads `x` in place; the rest ping-pong between
+        // the two buffers, sliced to each layer's width.
+        let (first, rest) = self.layers.split_first().expect("nonempty");
+        let (mut cur, mut next) = (&mut scratch.cur[..], &mut scratch.next[..]);
+        let mut width = first.out_dim();
+        first.forward_slice_packed(x, &mut cur[..width]);
+        for layer in rest {
+            layer.forward_slice_packed(&cur[..width], &mut next[..layer.out_dim()]);
+            std::mem::swap(&mut cur, &mut next);
+            width = layer.out_dim();
+        }
+        &cur[..width]
     }
 
     /// Forward pass through the seed-era scalar kernel.
