@@ -201,7 +201,12 @@ impl KiloNerfGrid {
 
     /// The MLP index serving `world`, or `None` for empty space.
     pub fn mlp_index_at(&self, world: Vec3) -> Option<u32> {
-        let u = self.bounds.normalize_point(world);
+        self.mlp_index_of(self.bounds.normalize_point(world))
+    }
+
+    /// [`KiloNerfGrid::mlp_index_at`] for a point already normalized to
+    /// the grid bounds.
+    fn mlp_index_of(&self, u: Vec3) -> Option<u32> {
         if !(0.0..1.0 + 1e-6).contains(&u.x)
             || !(0.0..1.0 + 1e-6).contains(&u.y)
             || !(0.0..1.0 + 1e-6).contains(&u.z)
@@ -223,8 +228,9 @@ impl KiloNerfGrid {
     /// measuring the seed's cost. Hot paths use
     /// [`KiloNerfGrid::query_scratch`], which runs the wide kernel.
     pub fn query(&self, world: Vec3) -> Option<KiloNerfSample> {
-        let mlp_idx = self.mlp_index_at(world)?;
-        let local = self.local_coords(world);
+        let u = self.bounds.normalize_point(world);
+        let mlp_idx = self.mlp_index_of(u)?;
+        let local = self.local_coords(u);
         let encoded = self.encoding.encode(local);
         let out = self.mlps[mlp_idx as usize].forward_scalar(&encoded);
         Some(self.sample_from(&out))
@@ -237,16 +243,17 @@ impl KiloNerfGrid {
         world: Vec3,
         scratch: &mut KiloNerfScratch,
     ) -> Option<KiloNerfSample> {
-        let mlp_idx = self.mlp_index_at(world)?;
-        let local = self.local_coords(world);
+        let u = self.bounds.normalize_point(world);
+        let mlp_idx = self.mlp_index_of(u)?;
+        let local = self.local_coords(u);
         self.encoding.encode_into(local, &mut scratch.encoded);
         let out = self.mlps[mlp_idx as usize].forward_scratch(&scratch.encoded, &mut scratch.mlp);
         Some(self.sample_from(out))
     }
 
-    /// Cell-local coordinates in `[-1, 1]` for a world point.
-    fn local_coords(&self, world: Vec3) -> Vec3 {
-        let u = self.bounds.normalize_point(world);
+    /// Cell-local coordinates in `[-1, 1]` for a point normalized to the
+    /// grid bounds.
+    fn local_coords(&self, u: Vec3) -> Vec3 {
         let n = self.resolution as f32;
         Vec3::new((u.x * n).fract(), (u.y * n).fract(), (u.z * n).fract()) * 2.0 - Vec3::ONE
     }
