@@ -97,27 +97,60 @@ impl PackedPanels {
     const GROUP: usize = 4;
 
     fn pack(weights: &FlatMat, biases: &[f32]) -> Self {
-        let (out_dim, in_dim) = (weights.rows(), weights.cols());
-        let panels = out_dim.div_ceil(8);
+        let panels = weights.rows().div_ceil(8);
         // uni-lint: allow(R8, one-time get_or_init panel packing, amortized across every frame — steady_state_alloc confirms 0/frame)
-        let mut packed = vec![F32x8::ZERO; panels * in_dim];
-        for (o, _) in biases.iter().enumerate() {
+        let columns = vec![F32x8::ZERO; panels * weights.cols()];
+        // uni-lint: allow(R8, one-time get_or_init bias padding, amortized across every frame — steady_state_alloc confirms 0/frame)
+        let padded = vec![F32x8::ZERO; panels];
+        let mut packed = Self {
+            weights: columns,
+            biases: padded,
+        };
+        packed.fill(weights, biases);
+        packed
+    }
+
+    /// Rewrites the panels from `weights`/`biases` of the packed shape.
+    /// The zero padding past `out_dim` stays as it is.
+    fn fill(&mut self, weights: &FlatMat, biases: &[f32]) {
+        let in_dim = weights.cols();
+        let panels = self.biases.len();
+        for (o, &b) in biases.iter().enumerate() {
             let (panel, lane) = (o / 8, o % 8);
             let first = panel - panel % Self::GROUP;
             let g = panel - first;
             let group_len = (panels - first).min(Self::GROUP);
             for (i, &w) in weights.row(o).iter().enumerate() {
-                packed[first * in_dim + i * group_len + g].0[lane] = w;
+                self.weights[first * in_dim + i * group_len + g].0[lane] = w;
             }
+            self.biases[panel].0[lane] = b;
         }
-        // uni-lint: allow(R8, one-time get_or_init bias padding, amortized across every frame — steady_state_alloc confirms 0/frame)
-        let mut padded = vec![F32x8::ZERO; panels];
-        for (o, &b) in biases.iter().enumerate() {
-            padded[o / 8].0[o % 8] = b;
-        }
-        Self {
-            weights: packed,
-            biases: padded,
+    }
+
+    /// Register-blocked GEMV: each group of up to four 8-output panels
+    /// runs through [`forward_group`], where one broadcast of `x[i]`
+    /// feeds every panel of the group.
+    ///
+    /// Per output the reduction order is fixed: input `i` goes into
+    /// accumulator `i % 4` in input order, each step an unfused multiply
+    /// then add, and then `bias + ((a0 + a1) + (a2 + a3))` and the
+    /// activation. Results are therefore independent of the grouping,
+    /// the target ISA and `UNI_RENDER_THREADS`.
+    // uni-lint: hot
+    fn gemv(&self, x: &[f32], activation: Activation, out: &mut [f32]) {
+        let in_dim = x.len();
+        let panels = self.biases.len();
+        for first in (0..panels).step_by(Self::GROUP) {
+            let len = (panels - first).min(Self::GROUP);
+            let cols = &self.weights[first * in_dim..(first + len) * in_dim];
+            let biases = &self.biases[first..first + len];
+            let out = &mut out[first * 8..];
+            match len {
+                1 => forward_group::<1>(cols, biases, x, activation, out),
+                2 => forward_group::<2>(cols, biases, x, activation, out),
+                3 => forward_group::<3>(cols, biases, x, activation, out),
+                _ => forward_group::<4>(cols, biases, x, activation, out),
+            }
         }
     }
 }
@@ -220,37 +253,15 @@ impl Layer {
         self.forward_slice_scalar(x, out);
     }
 
-    /// Register-blocked GEMV: each group of up to four 8-output panels
-    /// runs through [`forward_group`], where one broadcast of `x[i]`
-    /// feeds every panel of the group.
-    ///
-    /// Per output the reduction order is fixed: input `i` goes into
-    /// accumulator `i % 4` in input order, each step an unfused multiply
-    /// then add, and then `bias + ((a0 + a1) + (a2 + a3))` and the
-    /// activation. Results are therefore independent of the grouping,
-    /// the target ISA and `UNI_RENDER_THREADS`.
+    /// The production kernel, [`PackedPanels::gemv`], on this layer's
+    /// lazily packed panels.
     // uni-lint: hot
     fn forward_slice_packed(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim());
         debug_assert_eq!(out.len(), self.out_dim());
-        let packed = self
-            .packed
-            .get_or_init(|| PackedPanels::pack(&self.weights, &self.biases));
-        let in_dim = x.len();
-        let panels = packed.biases.len();
-        for first in (0..panels).step_by(PackedPanels::GROUP) {
-            let len = (panels - first).min(PackedPanels::GROUP);
-            let cols = &packed.weights[first * in_dim..(first + len) * in_dim];
-            let biases = &packed.biases[first..first + len];
-            let out = &mut out[first * 8..];
-            let act = self.activation;
-            match len {
-                1 => forward_group::<1>(cols, biases, x, act, out),
-                2 => forward_group::<2>(cols, biases, x, act, out),
-                3 => forward_group::<3>(cols, biases, x, act, out),
-                _ => forward_group::<4>(cols, biases, x, act, out),
-            }
-        }
+        self.packed
+            .get_or_init(|| PackedPanels::pack(&self.weights, &self.biases))
+            .gemv(x, self.activation, out);
     }
 
     /// The seed-era kernel: one row-dot per output on four independent
@@ -494,19 +505,20 @@ impl Mlp {
     }
 
     /// Forward pass retaining every layer's activated output (for
-    /// backprop) in one contiguous arena. Segment 0 holds the input.
-    fn forward_cached_into(&self, x: &[f32], arena: &mut ActivationArena) {
+    /// backprop) in one contiguous arena, through the trainer's `packs`
+    /// (one per layer). Segment 0 holds the input.
+    fn forward_cached_into(&self, x: &[f32], packs: &[PackedPanels], arena: &mut ActivationArena) {
         arena.data.clear();
         arena.offsets.clear();
         arena.offsets.push(0);
         arena.data.extend_from_slice(x);
         arena.offsets.push(arena.data.len());
-        for layer in &self.layers {
+        for (layer, packed) in self.layers.iter().zip(packs) {
             let in_start = arena.offsets[arena.offsets.len() - 2];
             let in_end = arena.offsets[arena.offsets.len() - 1];
             arena.data.resize(in_end + layer.out_dim(), 0.0);
             let (head, tail) = arena.data.split_at_mut(in_end);
-            layer.forward_slice_packed(&head[in_start..], tail);
+            packed.gemv(&head[in_start..], layer.activation, tail);
             arena.offsets.push(arena.data.len());
         }
     }
@@ -609,6 +621,9 @@ pub struct AdamTrainer {
     // Reused across steps so steady-state training is allocation-free.
     grads: Gradients,
     arena: ActivationArena,
+    /// The network's packed panels, rewritten in place at every step, so
+    /// training runs the production kernel without reallocating them.
+    packs: Vec<PackedPanels>,
     delta: Vec<f32>,
     prev_delta: Vec<f32>,
 }
@@ -634,6 +649,11 @@ impl AdamTrainer {
             v_b: LayerSegments::bias_shaped(mlp),
             grads: Gradients::zeros_like(mlp),
             arena: ActivationArena::default(),
+            packs: mlp
+                .layers
+                .iter()
+                .map(|l| PackedPanels::pack(&l.weights, &l.biases))
+                .collect(),
             delta: Vec::new(),
             prev_delta: Vec::new(),
         }
@@ -654,12 +674,15 @@ impl AdamTrainer {
         assert_eq!(inputs.cols(), mlp.in_dim(), "input width mismatch");
         assert_eq!(targets.cols(), mlp.out_dim(), "target width mismatch");
         self.grads.zero();
+        for (packed, layer) in self.packs.iter_mut().zip(&mlp.layers) {
+            packed.fill(&layer.weights, &layer.biases);
+        }
         let mut loss = 0.0f32;
         let inv_n = 1.0 / inputs.rows() as f32;
 
         for b in 0..inputs.rows() {
             let (x, t) = (inputs.row(b), targets.row(b));
-            mlp.forward_cached_into(x, &mut self.arena);
+            mlp.forward_cached_into(x, &self.packs, &mut self.arena);
             let y = self.arena.segment(mlp.layers.len());
             // dL/dy for MSE (factor 2 folded into the learning rate
             // convention: L = mean((y - t)^2)).
