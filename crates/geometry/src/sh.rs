@@ -48,33 +48,36 @@ const C3: [f32; 7] = [
 /// Panics if `out.len() > 16`.
 pub fn eval_basis(dir: Vec3, out: &mut [f32]) {
     assert!(out.len() <= 16, "sh basis supports degree <= 3 (16 coeffs)");
+    out.copy_from_slice(&basis(dir)[..out.len()]);
+}
+
+/// All 16 real SH basis values (degrees 0..=3) at unit direction `dir`,
+/// in [`eval_basis`]'s order and by its expressions: a lower degree reads
+/// a prefix. Inlined and branch-free, so a per-lane caller (the Gaussian
+/// cloud's 8-wide projection) vectorizes across lanes.
+#[inline(always)]
+pub fn basis(dir: Vec3) -> [f32; 16] {
     let Vec3 { x, y, z } = dir;
-    let mut vals = [0f32; 16];
-    vals[0] = C0;
-    if out.len() > 1 {
-        vals[1] = -C1 * y;
-        vals[2] = C1 * z;
-        vals[3] = -C1 * x;
-    }
-    if out.len() > 4 {
-        let (xx, yy, zz) = (x * x, y * y, z * z);
-        let (xy, yz, xz) = (x * y, y * z, x * z);
-        vals[4] = C2[0] * xy;
-        vals[5] = C2[1] * yz;
-        vals[6] = C2[2] * (2.0 * zz - xx - yy);
-        vals[7] = C2[3] * xz;
-        vals[8] = C2[4] * (xx - yy);
-        if out.len() > 9 {
-            vals[9] = C3[0] * y * (3.0 * xx - yy);
-            vals[10] = C3[1] * xy * z;
-            vals[11] = C3[2] * y * (4.0 * zz - xx - yy);
-            vals[12] = C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy);
-            vals[13] = C3[4] * x * (4.0 * zz - xx - yy);
-            vals[14] = C3[5] * z * (xx - yy);
-            vals[15] = C3[6] * x * (xx - 3.0 * yy);
-        }
-    }
-    out.copy_from_slice(&vals[..out.len()]);
+    let (xx, yy, zz) = (x * x, y * y, z * z);
+    let (xy, yz, xz) = (x * y, y * z, x * z);
+    [
+        C0,
+        -C1 * y,
+        C1 * z,
+        -C1 * x,
+        C2[0] * xy,
+        C2[1] * yz,
+        C2[2] * (2.0 * zz - xx - yy),
+        C2[3] * xz,
+        C2[4] * (xx - yy),
+        C3[0] * y * (3.0 * xx - yy),
+        C3[1] * xy * z,
+        C3[2] * y * (4.0 * zz - xx - yy),
+        C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy),
+        C3[4] * x * (4.0 * zz - xx - yy),
+        C3[5] * z * (xx - yy),
+        C3[6] * x * (xx - 3.0 * yy),
+    ]
 }
 
 /// Evaluates an SH expansion with per-coefficient scalar weights.

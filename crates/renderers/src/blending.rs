@@ -6,7 +6,7 @@
 //! [`fmath::exp`]); the accumulate is the Continuous-pattern reduction of
 //! Tab. II.
 
-use uni_geometry::{fmath, Rgb};
+use uni_geometry::{fmath, F32x8, Rgb};
 
 /// Transmittance below which a ray terminates early (the 1/255 threshold
 /// used by 3DGS and fast NeRF implementations).
@@ -83,6 +83,78 @@ impl RayAccumulator {
     #[inline]
     pub fn finish_premultiplied(self) -> (Rgb, f32) {
         (self.color, 1.0 - self.transmittance)
+    }
+}
+
+/// Front-to-back compositing state for eight rays, one per lane: the
+/// splat compositor's pixels, eight at a time. Lane `l` evolves exactly
+/// as a [`RayAccumulator`] fed the same samples, since every update runs
+/// [`RayAccumulator::add_alpha_sample`] on that lane. Lanes keep no
+/// sample count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RayAccumulatorX8 {
+    r: F32x8,
+    g: F32x8,
+    b: F32x8,
+    transmittance: F32x8,
+}
+
+impl Default for RayAccumulatorX8 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RayAccumulatorX8 {
+    /// Eight fresh rays with full transmittance.
+    pub fn new() -> Self {
+        let ray = RayAccumulator::new();
+        Self {
+            r: F32x8::splat(ray.color.r),
+            g: F32x8::splat(ray.color.g),
+            b: F32x8::splat(ray.color.b),
+            transmittance: F32x8::splat(ray.transmittance),
+        }
+    }
+
+    /// Lane `l` as a single ray.
+    #[inline(always)]
+    fn ray(&self, l: usize) -> RayAccumulator {
+        RayAccumulator {
+            color: Rgb::new(self.r.0[l], self.g.0[l], self.b.0[l]),
+            transmittance: self.transmittance.0[l],
+            samples: 0,
+        }
+    }
+
+    /// Whether lane `l` can no longer change
+    /// ([`RayAccumulator::saturated`]).
+    #[inline(always)]
+    pub fn saturated(&self, l: usize) -> bool {
+        self.transmittance.0[l] < EARLY_STOP_TRANSMITTANCE
+    }
+
+    /// Composites a sample of `color` with alpha `alpha` into lane `l`
+    /// when `blend` holds ([`RayAccumulator::add_alpha_sample`]), as
+    /// selects, so a per-lane loop over it stays branch-free; returns
+    /// whether the lane is saturated afterwards.
+    #[inline(always)]
+    pub fn add_alpha_sample(&mut self, l: usize, color: Rgb, alpha: f32, blend: bool) -> bool {
+        let old = self.ray(l);
+        let mut new = old;
+        new.add_alpha_sample(color, alpha);
+        let keep = |new: f32, old: f32| if blend { new } else { old };
+        self.r.0[l] = keep(new.color.r, old.color.r);
+        self.g.0[l] = keep(new.color.g, old.color.g);
+        self.b.0[l] = keep(new.color.b, old.color.b);
+        self.transmittance.0[l] = keep(new.transmittance, old.transmittance);
+        self.saturated(l)
+    }
+
+    /// Finishes lane `l` against `background` ([`RayAccumulator::finish`]).
+    #[inline]
+    pub fn finish(&self, l: usize, background: Rgb) -> Rgb {
+        self.ray(l).finish(background)
     }
 }
 
@@ -163,5 +235,28 @@ mod tests {
         acc.add_alpha_sample(Rgb::WHITE, 0.5);
         let (_, alpha) = acc.finish_premultiplied();
         assert!((alpha - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn lanes_composite_like_single_rays() {
+        let colors = [Rgb::new(0.9, 0.2, 0.1), Rgb::new(0.1, 0.7, 0.3), Rgb::WHITE];
+        let mut lanes = RayAccumulatorX8::new();
+        let mut rays = [RayAccumulator::new(); 8];
+        for (step, &color) in colors.iter().cycle().take(12).enumerate() {
+            for (l, ray) in rays.iter_mut().enumerate() {
+                let alpha = 0.04 * (l * (1 + step % 5)) as f32;
+                let blend = (l + step) % 3 != 0;
+                let saturated = lanes.add_alpha_sample(l, color, alpha, blend);
+                if blend {
+                    ray.add_alpha_sample(color, alpha);
+                }
+                assert_eq!(saturated, ray.saturated(), "lane {l}");
+            }
+        }
+        let bg = Rgb::new(0.2, 0.3, 0.4);
+        for (l, ray) in rays.iter().enumerate() {
+            assert_eq!(lanes.finish(l, bg), ray.finish(bg), "lane {l}");
+        }
+        assert!(lanes.saturated(7) && !lanes.saturated(0));
     }
 }

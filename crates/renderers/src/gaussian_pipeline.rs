@@ -13,13 +13,19 @@
 //! The production path ([`Renderer::render`]) is SoA and allocation-free in
 //! steady state, and touches each splat once per stage:
 //!
-//! 1. projection + SH evaluation run band-parallel across splats
-//!    (`uni_parallel::par_indices` over [`PROJ_BAND_SPLATS`]-sized bands,
-//!    each compacting into per-band scratch reused across frames) on one
-//!    per-frame [`SplatProjector`], then concatenate in band order —
-//!    bit-identical to a serial pass. Each visible splat leaves its depth
-//!    key, its tile rectangle, and one packed blending record (center,
-//!    conic, `inv_a`, `ln_cut`, opacity, RGB, vertical reach);
+//! 1. projection + SH evaluation run eight splats at a time on the
+//!    cloud's lane-group columns ([`GaussianCloud::project_x8`], one
+//!    per-frame [`SplatProjector`]; every lane equals the scalar
+//!    [`GaussianCloud::project`] and [`GaussianCloud::color`] bit for
+//!    bit), band-parallel across splats (`uni_parallel::par_indices` over
+//!    [`PROJ_BAND_SPLATS`]-sized bands, each compacting its visible lanes
+//!    in splat order into per-band scratch reused across frames), then
+//!    concatenate in band order — bit-identical to a serial pass. Each
+//!    visible splat leaves its depth key, its tile rectangle, and one
+//!    packed blending record (center, conic, opacity, RGB, and the
+//!    half-extents of its alpha-threshold ellipse, from a log-space
+//!    cutoff on the cloud's baked `ln(opacity)`, so no per-splat libm
+//!    call remains);
 //! 2. [`bin_tiles_by_depth`] sorts the visible splats by depth (a stable
 //!    LSD counting sort, one [`Bins::build`] pass per 16-bit key digit),
 //!    then bins them into their tiles in that order with the same stable
@@ -27,23 +33,28 @@
 //!    order — the order the seed's per-patch comparison sorts produced;
 //! 3. blending processes whole rows of tiles as parallel bands
 //!    (`uni_parallel::par_bands`; bands write disjoint image rows). Each
-//!    tile gathers its records contiguously, buckets them by the
-//!    scanlines they reach, and walks each scanline splat-major; a row
-//!    segment's walk ends once all its pixels have saturated, since a
-//!    saturated pixel never blends again.
+//!    tile is walked splat-major in depth order, straight from the
+//!    frame's records: a splat visits only the rows and the 8-pixel
+//!    chunks its alpha ellipse's box reaches, and tests and blends a
+//!    chunk's eight pixels as lanes ([`RayAccumulatorX8`],
+//!    [`fmath::exp_x8`]). A per-row count of pixels still below
+//!    saturation skips rows that have saturated, and the tile's walk ends
+//!    when every row has, since a saturated pixel never blends again.
+//!    Every pixel still sees its splats in depth order.
 //!
 //! All buffers live in per-thread scratch arenas reused across frames.
 //! The seed-era scalar path is kept as [`GaussianPipeline::render_scalar`]
 //! — the parity baseline for tests and the speedup baseline for
 //! `benches/render_hot.rs`. The two paths make bit-identical per-sample
 //! decisions: both weigh a pair with [`ProjectedSplat::falloff`]'s
-//! expression on the one owned [`fmath::exp`], and the SoA path's
-//! log-space early-out (`power < ln(1/255 / opacity) - margin`) only
-//! skips pairs the scalar `alpha < 1/255` test would also reject after
-//! the `exp`. Their pixels and work counts are equal.
+//! expression on the one owned [`fmath::exp`] and reject it when
+//! `alpha < 1/255`, and the SoA path only leaves out pixels outside the
+//! box of the ellipse `power >= ln(1/255) - ln(opacity) - margin`, which
+//! that test would also reject after the `exp`. Their pixels and work
+//! counts are equal.
 
 use crate::binning::{BinRect, Bins};
-use crate::blending::RayAccumulator;
+use crate::blending::{RayAccumulator, RayAccumulatorX8};
 use crate::probe::Probe;
 use crate::Renderer;
 use std::cell::RefCell;
@@ -55,11 +66,16 @@ use uni_scene::{BakedScene, GaussianCloud, ProjectedSplat, SplatProjector};
 /// 1/255 threshold).
 const MIN_ALPHA: f32 = 1.0 / 255.0;
 
-/// Log-space safety margin for the pre-`exp` alpha cutoff. The cut's
-/// libm `ln` and [`fmath::exp`] each err by about 1e-7 relative, so 0.01
-/// in log space conservatively covers both: every pair skipped by the
-/// log-space test would also fail the seed's post-`exp` `alpha < 1/255`
-/// test.
+/// `ln(MIN_ALPHA)`, rounded to `f32`.
+const LN_MIN_ALPHA: f32 = -5.541_264;
+
+/// Log-space safety margin of the cutoff
+/// `LN_MIN_ALPHA - ln(opacity) - LN_ALPHA_MARGIN` whose ellipse bounds
+/// the pixels a splat can reach. The baked libm `ln`, the rounding of
+/// [`LN_MIN_ALPHA`], the split of `ln(a/b)` into `ln a - ln b` and
+/// [`fmath::exp`] each err by about 1e-6 or less, so 0.01 in log space
+/// conservatively covers them all: every pixel outside the ellipse would
+/// also fail the seed's post-`exp` `alpha < 1/255` test.
 const LN_ALPHA_MARGIN: f32 = 0.01;
 
 /// The 3D-Gaussian (splat rasterization) pipeline.
@@ -146,14 +162,15 @@ struct SplatStats {
     blended_pairs: u64,
 }
 
-/// Number of Gaussians one projection band covers. Projection + SH
-/// evaluation parallelize across bands of splats
-/// (`uni_parallel::par_indices`); band results concatenate in band order,
-/// so the global layout is identical to a serial pass.
+/// Number of Gaussians one projection band covers, a multiple of the
+/// cloud's 8-splat lane groups. Projection + SH evaluation parallelize
+/// across bands of splats (`uni_parallel::par_indices`); band results
+/// concatenate in band order, so the global layout is identical to a
+/// serial pass.
 const PROJ_BAND_SPLATS: usize = 2048;
 
-/// One visible splat packed for blending: everything a (splat, pixel)
-/// test reads, so the per-tile gather copies one record.
+/// One visible splat packed for blending: everything the tile walk
+/// reads of it, in one record.
 #[derive(Debug, Clone, Copy, Default)]
 struct SplatRecord {
     x: f32,
@@ -161,15 +178,14 @@ struct SplatRecord {
     conic_a: f32,
     conic_b: f32,
     conic_c: f32,
-    /// Reciprocal of `conic_a` (hoists the per-row division).
-    inv_a: f32,
-    /// Log-space alpha cutoff: `ln(MIN_ALPHA / opacity) - margin`.
-    ln_cut: f32,
     opacity: f32,
     r: f32,
     g: f32,
     b: f32,
-    /// Vertical half-extent of the `{ power >= ln_cut }` ellipse.
+    /// Horizontal and vertical half-extents of the ellipse
+    /// `{ power >= ln_cut }`, outside which every pixel is below the
+    /// alpha threshold; `ln_cut = ln(MIN_ALPHA) - ln(opacity) - margin`.
+    dx_max: f32,
     dy_max: f32,
 }
 
@@ -197,31 +213,30 @@ impl ProjCols {
         self.keys.len()
     }
 
-    /// Appends one projected splat, deriving the blending-loop
-    /// precomputations (log-space cutoff, reciprocal, vertical reach).
+    /// Appends one projected splat, deriving the extent of its
+    /// alpha-threshold ellipse from the log-space cutoff.
     fn push_splat(&mut self, s: &ProjectedSplat, color: Rgb, tiles: BinRect) {
         self.keys.push(depth_key(s.depth));
         self.rects.push(tiles);
-        // uni-lint: allow(R12, once per visible splat, not per pixel — LN_ALPHA_MARGIN keeps the cut conservative, so a libm ulp cannot flip an alpha decision)
-        let cut = (MIN_ALPHA / s.opacity).ln() - LN_ALPHA_MARGIN;
-        // The set { power >= cut } is an ellipse; its vertical
-        // half-extent is sqrt(-2·a·cut / (a·c - b²)) (the conic is
-        // positive definite, so a·c - b² > 0).
+        let cut = LN_MIN_ALPHA - s.ln_opacity - LN_ALPHA_MARGIN;
+        // The set { power >= cut } is an ellipse; its half-extents are
+        // sqrt(-2·c·cut / det) across and sqrt(-2·a·cut / det) down,
+        // det = a·c - b² (the conic is positive definite, so det > 0).
         let (a, b, c) = s.conic;
         let det = a * c - b * b;
+        let half_extent = |q: f32| ((-2.0 * q * cut / det.max(1e-12)).max(0.0)).sqrt();
         self.recs.push(SplatRecord {
             x: s.center.x,
             y: s.center.y,
             conic_a: a,
             conic_b: b,
             conic_c: c,
-            inv_a: 1.0 / a,
-            ln_cut: cut,
             opacity: s.opacity,
             r: color.r,
             g: color.g,
             b: color.b,
-            dy_max: ((-2.0 * a * cut / det.max(1e-12)).max(0.0)).sqrt(),
+            dx_max: half_extent(c),
+            dy_max: half_extent(a),
         });
     }
 
@@ -245,30 +260,32 @@ struct FrameScratch {
     /// Depth-sort scratch and the per-tile splat lists in depth order.
     sort: Bins,
     tiles: Bins,
-    // Per-band tile gather scratch (each band worker locks its own slot;
+    // Per-band tile walk scratch (each band worker locks its own slot;
     // bands are claimed exclusively, so locks never contend).
     bands: Vec<std::sync::Mutex<TileScratch>>,
 }
 
-/// Depth-sorted splat records gathered contiguously for one tile, so the
-/// blending loop streams them cache-linearly — what the seed's per-patch
-/// `Vec` copies bought, without the allocations.
+/// Compositing state of the tile being walked, reused from tile to tile.
+/// Pixels sit in 8-lane chunks: pixel `px0 + 8·h + l` of tile row `r` is
+/// lane `l` of chunk `r · chunks + h`, where `chunks` is the tile width
+/// in chunks. Lanes past the tile's right edge never blend.
 #[derive(Debug, Default)]
 struct TileScratch {
-    splats: Vec<SplatRecord>,
-    /// Each gathered splat's scanline span within the band
-    /// (`lo > hi`: reaches none).
-    spans: Vec<(u32, u32)>,
-    /// Per-scanline buckets over the tile's splats: `row_lists` holds the
-    /// (depth-ordered) tile-local indices of splats whose vertical extent
-    /// reaches each row, with `row_offsets` delimiting rows. Built once
-    /// per tile so a scanline only ever touches splats that can reach it.
-    row_counts: Vec<u32>,
-    row_offsets: Vec<u32>,
-    row_lists: Vec<u32>,
-    /// Per-pixel compositing state for the scanline being blended.
-    accs: Vec<RayAccumulator>,
-    last_blend: Vec<u32>,
+    /// Per-pixel compositing state.
+    accs: Vec<RayAccumulatorX8>,
+    /// Per pixel, the tile-list position of the last splat it blended.
+    last_blend: Vec<[u32; 8]>,
+    /// Per tile row, its pixels still below saturation.
+    row_live: Vec<u32>,
+}
+
+/// The pixels of one tile: columns `px0..px1`, image rows `y0..y0 + rows`.
+#[derive(Debug, Clone, Copy)]
+struct TileRect {
+    px0: u32,
+    px1: u32,
+    y0: usize,
+    rows: usize,
 }
 
 thread_local! {
@@ -323,7 +340,6 @@ impl GaussianPipeline {
         let tiles_x = camera.width.div_ceil(ps);
         let tiles_y = camera.height.div_ceil(ps);
         let n_tiles = (tiles_x * tiles_y) as usize;
-        let n_coeffs = cloud.coeffs_per_channel();
         let n_proj_bands = cloud.len().div_ceil(PROJ_BAND_SPLATS);
         if proj.len() < n_proj_bands {
             proj.resize_with(n_proj_bands, Default::default);
@@ -334,15 +350,16 @@ impl GaussianPipeline {
             uni_parallel::par_indices(n_proj_bands, |b| {
                 let mut pb = proj[b].lock().expect("projection band scratch poisoned");
                 pb.clear();
-                let lo = b * PROJ_BAND_SPLATS;
-                let hi = ((b + 1) * PROJ_BAND_SPLATS).min(cloud.len());
-                for i in lo..hi {
-                    if let Some(s) = cloud.project(i as u32, &projector, self.alpha_threshold) {
-                        let g = &cloud.gaussians[s.index as usize];
-                        let dir = (g.mean - camera.eye).normalized();
-                        let tiles =
-                            tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y);
-                        pb.push_splat(&s, g.color(dir, n_coeffs), tiles);
+                let groups =
+                    b * PROJ_BAND_SPLATS / 8..((b + 1) * PROJ_BAND_SPLATS / 8).min(cloud.groups());
+                for group in groups {
+                    let lanes = cloud.project_x8(group, &projector, self.alpha_threshold);
+                    for l in 0..8 {
+                        if let Some((s, color)) = lanes.splat(l) {
+                            let tiles =
+                                tile_range(s.center.x, s.center.y, s.radius, ps, tiles_x, tiles_y);
+                            pb.push_splat(&s, color, tiles);
+                        }
                     }
                 }
             });
@@ -360,8 +377,8 @@ impl GaussianPipeline {
         stats.patch_pairs = tiles.ids().len() as u64;
         stats.patches_nonempty = (0..n_tiles).filter(|&t| !tiles.bin(t).is_empty()).count() as u64;
 
-        // (4)+(5) Per-tile gather + front-to-back blending, a row of
-        // tiles per band. Bands own disjoint row ranges of the image.
+        // (4)+(5) Per-tile front-to-back blending, a row of tiles per
+        // band. Bands own disjoint row ranges of the image.
         if bands.len() < tiles_y as usize {
             bands.resize_with(tiles_y as usize, Default::default);
         }
@@ -376,8 +393,7 @@ impl GaussianPipeline {
             band_len,
             (0u64, 0u64),
             |band_ty, chunk| {
-                let rows_in_band = chunk.len() / width;
-                let y_base = band_ty * ps as usize;
+                let rows = chunk.len() / width;
                 let mut candidate = 0u64;
                 let mut blended = 0u64;
                 let mut tile_scratch = bands[band_ty].lock().expect("band scratch poisoned");
@@ -387,155 +403,32 @@ impl GaussianPipeline {
                     if ids.is_empty() {
                         continue;
                     }
-                    // Gather the tile's depth-sorted splats contiguously, and
-                    // bucket them by the scanlines their alpha-threshold
-                    // ellipse can reach (a small counting sort by row that
-                    // keeps depth order within each row). Each scanline then
-                    // only ever touches splats that can contribute to it.
-                    ts.splats.clear();
-                    ts.spans.clear();
-                    ts.row_counts.clear();
-                    ts.row_counts.resize(rows_in_band, 0);
-                    for &id in ids {
-                        let s = recs[id as usize];
-                        // Scanline span: rows whose center is within the
-                        // splat's vertical reach (widened 1e-3 px for float
-                        // safety; the exact per-pair tests below still run).
-                        let reach = s.dy_max + 1e-3;
-                        let lo = (s.y - reach - 0.5 - y_base as f32).ceil().max(0.0);
-                        let hi = (s.y + reach - 0.5 - y_base as f32).floor();
-                        let span = if hi < lo || lo >= rows_in_band as f32 {
-                            (1, 0) // Empty span.
-                        } else {
-                            let r0 = lo as u32;
-                            let r1 = (hi as u32).min(rows_in_band as u32 - 1);
-                            for r in r0..=r1 {
-                                ts.row_counts[r as usize] += 1;
-                            }
-                            (r0, r1)
-                        };
-                        ts.splats.push(s);
-                        ts.spans.push(span);
-                    }
-                    let n = ts.splats.len();
-                    ts.row_offsets.clear();
-                    ts.row_offsets.push(0);
-                    let mut run = 0u32;
-                    for &c in &ts.row_counts {
-                        run += c;
-                        ts.row_offsets.push(run);
-                    }
-                    ts.row_lists.clear();
-                    ts.row_lists.resize(run as usize, 0);
-                    ts.row_counts.fill(0);
-                    for (k, &(row_lo, row_hi)) in ts.spans.iter().enumerate() {
-                        for r in row_lo..=row_hi {
-                            let slot = ts.row_offsets[r as usize] + ts.row_counts[r as usize];
-                            ts.row_lists[slot as usize] = k as u32;
-                            ts.row_counts[r as usize] += 1;
-                        }
-                    }
+                    let tile = TileRect {
+                        px0: tx * ps,
+                        px1: ((tx + 1) * ps).min(camera.width),
+                        y0: band_ty * ps as usize,
+                        rows,
+                    };
+                    blended += walk_tile(recs, ids, tile, ts);
 
-                    let px0 = tx * ps;
-                    let px1 = ((tx + 1) * ps).min(camera.width);
-                    let px_count = (px1 - px0) as usize;
-                    for row_local in 0..rows_in_band {
-                        let py = (y_base + row_local) as f32 + 0.5;
-                        let row = &mut chunk[row_local * width..(row_local + 1) * width];
-
-                        // Fresh per-pixel compositing state for this scanline
-                        // segment. Splat-major traversal below feeds each
-                        // pixel its samples in depth order (the outer loop is
-                        // depth-ordered), so compositing semantics — including
-                        // early saturation — match the seed's pixel-major
-                        // walk exactly.
-                        ts.accs.clear();
-                        ts.accs.resize(px_count, RayAccumulator::new());
-                        ts.last_blend.clear();
-                        ts.last_blend.resize(px_count, 0);
-
-                        let row_seg = ts.row_offsets[row_local] as usize
-                            ..ts.row_offsets[row_local + 1] as usize;
-                        let (accs, last_blend) =
-                            (&mut ts.accs[..px_count], &mut ts.last_blend[..px_count]);
-                        // Pixels of the segment still below saturation; the
-                        // walk ends when none is left, since saturated
-                        // pixels never blend again.
-                        let mut live = px_count;
-                        for li in row_seg {
-                            let j = ts.row_lists[li] as usize;
-                            let s = ts.splats[j];
-                            let dy = py - s.y;
-                            // X interval where `power >= ln_cut` can hold
-                            // (roots of 0.5·a·dx² + b·dy·dx + 0.5·c·dy² + cut
-                            // ≤ 0, widened by 1e-3 px). Pixels outside it are
-                            // provably below the alpha threshold.
-                            let bb = s.conic_b * dy;
-                            let c0 = 0.5 * s.conic_c * dy * dy + s.ln_cut;
-                            let disc = bb * bb - 2.0 * s.conic_a * c0;
-                            if disc <= 0.0 {
-                                continue; // Below threshold across the row.
-                            }
-                            let sq = disc.sqrt();
-                            let xlo = s.x + (-bb - sq) * s.inv_a - 1e-3;
-                            let xhi = s.x + (-bb + sq) * s.inv_a + 1e-3;
-                            // Pixel centers sit at px + 0.5 (float casts
-                            // saturate, so negative bounds clamp to zero).
-                            let lo = ((xlo - 0.5).ceil().max(px0 as f32) as u32).max(px0);
-                            let hi_f = (xhi - 0.5).floor();
-                            if hi_f < lo as f32 {
-                                continue;
-                            }
-                            let hi = (hi_f as u32).min(px1 - 1);
-                            let color = Rgb::new(s.r, s.g, s.b);
-                            // `c·dy·dy` keeps the seed's left-to-right product
-                            // order, and the `b·dx·dy` pairing stays inside
-                            // the loop, so `power` is bit-identical to
-                            // ProjectedSplat::falloff's.
-                            let c_dyy = s.conic_c * dy * dy;
-                            for px in lo..=hi {
-                                let pi = (px - px0) as usize;
-                                let acc = &mut accs[pi];
-                                if acc.saturated() {
-                                    continue;
-                                }
-                                let pxf = px as f32 + 0.5;
-                                let dx = pxf - s.x;
-                                // Same expression as ProjectedSplat::falloff,
-                                // with the exp elided for pairs provably below
-                                // the alpha threshold.
-                                let power =
-                                    -0.5 * (s.conic_a * dx * dx + c_dyy) - s.conic_b * dx * dy;
-                                if power > 0.0 || power < s.ln_cut {
-                                    continue;
-                                }
-                                let alpha = s.opacity * fmath::exp(power);
-                                if alpha < MIN_ALPHA {
-                                    continue;
-                                }
-                                blended += 1;
-                                acc.add_alpha_sample(color, alpha);
-                                last_blend[pi] = j as u32;
-                                live -= usize::from(acc.saturated());
-                            }
-                            if live == 0 {
-                                break;
-                            }
-                        }
-
-                        // Candidate-pair accounting matches the seed loop: it
-                        // examined every splat up to (and including) the one
-                        // that saturated the ray, or all of them. Skipped
-                        // pairs never blend, so the saturation point is
-                        // unchanged by the interval culling or the early end.
-                        for pi in 0..px_count {
-                            let acc = ts.accs[pi];
-                            candidate += if acc.saturated() {
-                                u64::from(ts.last_blend[pi]) + 1
+                    // Candidate-pair accounting matches the seed loop: it
+                    // examined every splat up to (and including) the one
+                    // that saturated the ray, or all of them. Skipped
+                    // pairs never blend, so the saturation point is
+                    // unchanged by the culling or the early end.
+                    let px_count = (tile.px1 - tile.px0) as usize;
+                    let chunks = px_count.div_ceil(8);
+                    for row in 0..rows {
+                        let out = &mut chunk[row * width + tile.px0 as usize..][..px_count];
+                        for (pi, px) in out.iter_mut().enumerate() {
+                            let (k, l) = (row * chunks + pi / 8, pi % 8);
+                            let acc = &ts.accs[k];
+                            candidate += if acc.saturated(l) {
+                                u64::from(ts.last_blend[k][l]) + 1
                             } else {
-                                n as u64
+                                ids.len() as u64
                             };
-                            row[px0 as usize + pi] = acc.finish(bg);
+                            *px = acc.finish(l, bg);
                         }
                     }
                 }
@@ -582,14 +475,9 @@ impl GaussianPipeline {
         stats.visible_splats = splats.len() as u64;
 
         // SH color per visible splat, once per frame (the "MLP" step).
-        let n_coeffs = cloud.coeffs_per_channel();
         let colors: Vec<Rgb> = splats
             .iter()
-            .map(|s| {
-                let g = &cloud.gaussians[s.index as usize];
-                let dir = (g.mean - camera.eye).normalized();
-                g.color(dir, n_coeffs)
-            })
+            .map(|s| cloud.color(s.index, &projector))
             .collect();
 
         // (2) Patch assignment.
@@ -728,6 +616,123 @@ impl GaussianPipeline {
     }
 }
 
+/// Blends one tile's depth-ordered splats (`ids` into `recs`) into fresh
+/// per-pixel state in `ts`, splat-major, and returns the blended pairs.
+///
+/// Each splat visits only the rows and the 8-pixel chunks that the box
+/// of its `{ power >= ln_cut }` ellipse reaches; pixels outside are
+/// provably below the alpha threshold, and pixels inside take the seed's
+/// exact pair test. A row whose pixels have all saturated is skipped,
+/// and the walk ends when every row has. Every pixel still receives its
+/// samples in depth order, so compositing — including early saturation —
+/// matches the seed's pixel-major walk exactly, and `ts.last_blend`
+/// records where each pixel saturated.
+// uni-lint: hot
+fn walk_tile(recs: &[SplatRecord], ids: &[u32], tile: TileRect, ts: &mut TileScratch) -> u64 {
+    let TileRect { px0, px1, y0, rows } = tile;
+    let px_count = (px1 - px0) as usize;
+    let chunks = px_count.div_ceil(8);
+    ts.accs.clear();
+    ts.accs.resize(rows * chunks, RayAccumulatorX8::new());
+    ts.last_blend.clear();
+    ts.last_blend.resize(rows * chunks, [0; 8]);
+    ts.row_live.clear();
+    ts.row_live.resize(rows, px_count as u32);
+    let mut live_rows = rows;
+    let mut blended = 0u64;
+    'splats: for (j, &id) in ids.iter().enumerate() {
+        let s = &recs[id as usize];
+        // Pixel centers (at px + 0.5) within the ellipse's box, widened
+        // 1e-3 px for float safety. Float casts saturate, so negative
+        // bounds clamp to zero.
+        let (rx, ry) = (s.dx_max + 1e-3, s.dy_max + 1e-3);
+        let lo = (s.y - ry - 0.5 - y0 as f32).ceil().max(0.0);
+        let hi = (s.y + ry - 0.5 - y0 as f32).floor();
+        let x_lo = ((s.x - rx - 0.5).ceil().max(px0 as f32) as u32).max(px0);
+        let x_hi = (s.x + rx - 0.5).floor();
+        if hi < lo || lo >= rows as f32 || x_hi < x_lo as f32 {
+            continue;
+        }
+        let (r0, r1) = (lo as usize, (hi as usize).min(rows - 1));
+        // A box starting right of the tile leaves `h0 > h1`, or one chunk
+        // whose pixels all take the exact test.
+        let h0 = (x_lo - px0) / 8;
+        let h1 = ((x_hi as u32).min(px1 - 1) - px0) / 8;
+        for r in r0..=r1 {
+            if ts.row_live[r] == 0 {
+                continue;
+            }
+            let dy = (y0 + r) as f32 + 0.5 - s.y;
+            for h in h0..=h1 {
+                let k = r * chunks + h as usize;
+                let (n_blended, n_saturated) = blend_chunk(
+                    s,
+                    dy,
+                    px0 + 8 * h,
+                    px1,
+                    j as u32,
+                    &mut ts.accs[k],
+                    &mut ts.last_blend[k],
+                );
+                blended += u64::from(n_blended);
+                ts.row_live[r] -= n_saturated;
+                if n_saturated > 0 && ts.row_live[r] == 0 {
+                    live_rows -= 1;
+                    if live_rows == 0 {
+                        break 'splats;
+                    }
+                }
+            }
+        }
+    }
+    blended
+}
+
+/// Tests splat `s` (tile-list position `j`) against the eight pixels
+/// from column `x0` of the row at offset `dy` from its center, and
+/// blends it into the pixels that pass; returns how many it blended and
+/// how many it saturated. Per pixel this is the seed's pair test on the
+/// same expressions: skip a saturated pixel, weigh by
+/// [`ProjectedSplat::falloff`] (its `exp` evaluated for every lane, then
+/// selected), skip `alpha < MIN_ALPHA`. Columns at or past `px1` are off
+/// the tile and never blend. Branch-free per lane, so the lanes
+/// vectorize.
+#[inline(always)]
+fn blend_chunk(
+    s: &SplatRecord,
+    dy: f32,
+    x0: u32,
+    px1: u32,
+    j: u32,
+    acc: &mut RayAccumulatorX8,
+    last_blend: &mut [u32; 8],
+) -> (u32, u32) {
+    // `c·dy·dy` keeps the seed's left-to-right product order, and the
+    // `b·dx·dy` pairing stays per pixel, so `power` is bit-identical to
+    // ProjectedSplat::falloff's.
+    let c_dyy = s.conic_c * dy * dy;
+    let color = Rgb::new(s.r, s.g, s.b);
+    // Work on copies, so the lane loop runs on registers.
+    let (mut lanes, mut last) = (*acc, *last_blend);
+    let (mut n_blended, mut n_saturated) = (0, 0);
+    for (l, slot) in last.iter_mut().enumerate() {
+        let px = x0 + l as u32;
+        let dx = px as f32 + 0.5 - s.x;
+        let power = -0.5 * (s.conic_a * dx * dx + c_dyy) - s.conic_b * dx * dy;
+        let e = fmath::exp(power);
+        let falloff = if power > 0.0 { 0.0 } else { e };
+        let alpha = s.opacity * falloff;
+        let below_threshold = alpha < MIN_ALPHA;
+        let blend = (px < px1) & !lanes.saturated(l) & !below_threshold;
+        let saturated = lanes.add_alpha_sample(l, color, alpha, blend);
+        *slot = if blend { j } else { *slot };
+        n_blended += u32::from(blend);
+        n_saturated += u32::from(blend & saturated);
+    }
+    (*acc, *last_blend) = (lanes, last);
+    (n_blended, n_saturated)
+}
+
 impl Renderer for GaussianPipeline {
     fn pipeline(&self) -> Pipeline {
         Pipeline::Gaussian3d
@@ -784,10 +789,11 @@ mod tests {
         }
     }
 
-    /// The SoA path ends a row segment's splat walk once every pixel in
-    /// it saturates; pixels and all six counts still equal the seed
-    /// loop's, at one worker and at four, on frames where most of the
-    /// seed's candidate pairs sit behind saturated pixels.
+    /// The SoA path skips a tile row once every pixel in it saturates
+    /// and ends the tile's walk once every row has; pixels and all six
+    /// counts still equal the seed loop's, at one worker and at four, on
+    /// frames where most of the seed's candidate pairs sit behind
+    /// saturated pixels.
     #[test]
     fn soa_path_matches_scalar_counts_when_rows_saturate_early() {
         let scene = testutil::scene();
@@ -825,6 +831,13 @@ mod tests {
                 assert_eq!(img, want, "{w}x{h}, {workers} workers");
             }
         }
+    }
+
+    /// The cutoff's constant is `ln(1/255)` to well inside the margin.
+    #[test]
+    fn ln_min_alpha_is_the_log_of_min_alpha() {
+        assert!((LN_MIN_ALPHA - MIN_ALPHA.ln()).abs() <= 1e-6);
+        assert!(LN_ALPHA_MARGIN > 1e3 * (LN_MIN_ALPHA - MIN_ALPHA.ln()).abs().max(1e-6));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! MLP component.
 
 use crate::field::{AnalyticField, LIGHT_DIR, PEAK_DENSITY};
-use crate::gaussians::{Gaussian, GaussianCloud};
+use crate::gaussians::{Gaussian, GaussianCloud, MAX_SH_FLOATS};
 use crate::hashgrid::HashGrid;
 use crate::kilonerf::KiloNerfGrid;
 use crate::mesh::{Texture2d, TriangleMesh};
@@ -385,6 +385,7 @@ fn bake_gaussians(
     let total_area = *areas.last().expect("nonempty");
     let spacing = (total_area / count as f32).sqrt();
     let n_coeffs = cloud.coeffs_per_channel();
+    cloud.reserve(count as usize);
 
     // Deterministic projection directions (spherical Fibonacci).
     let n_dirs = 32usize;
@@ -408,7 +409,7 @@ fn bake_gaussians(
         let (p, normal) = sample_surface(mesh, &areas, rng);
         field.sample_views(p, &dirs, &mut colors);
         // SH-project radiance: c_i = (4π/N) Σ_d (L(d) - 0.5) b_i(d).
-        let mut coeffs = vec![0f32; 3 * n_coeffs];
+        let mut coeffs = [0f32; MAX_SH_FLOATS];
         for (d, color) in colors.iter().enumerate() {
             let basis = bases.row(d);
             for i in 0..n_coeffs {
@@ -417,7 +418,7 @@ fn bake_gaussians(
                 coeffs[2 * n_coeffs + i] += (color.b - 0.5) * basis[i] * w;
             }
         }
-        cloud.gaussians.push(Gaussian {
+        cloud.push(Gaussian {
             mean: p,
             scale: Vec3::new(spacing * 0.9, spacing * 0.9, spacing * 0.15),
             rotation: quat_from_z_to(normal),
@@ -752,7 +753,7 @@ mod tests {
     fn gaussians_sit_on_surfaces() {
         let s = scene();
         let mut near_surface = 0;
-        for g in &s.gaussians().gaussians {
+        for g in s.gaussians().iter() {
             let (d, _) = s.field().sdf(g.mean);
             if d.abs() < 0.1 {
                 near_surface += 1;
@@ -768,7 +769,7 @@ mod tests {
         let n = s.gaussians().coeffs_per_channel();
         let mut total_err = 0.0f64;
         let count = s.gaussians().len().min(50);
-        for g in s.gaussians().gaussians.iter().take(count) {
+        for g in s.gaussians().iter().take(count) {
             let view = Vec3::new(0.3, -0.2, 0.9).normalized();
             let predicted = g.color(view, n);
             let actual = s.field().sample(g.mean, view).color;
@@ -831,10 +832,7 @@ mod tests {
         let b = SceneSpec::demo("det", 3).with_detail(0.02).bake();
         assert_eq!(a.mesh().triangle_count(), b.mesh().triangle_count());
         assert_eq!(a.gaussians().len(), b.gaussians().len());
-        assert_eq!(
-            a.gaussians().gaussians[0].mean,
-            b.gaussians().gaussians[0].mean
-        );
+        assert_eq!(a.gaussians().get(0), b.gaussians().get(0));
     }
 
     /// Reference for [`bake_hashgrid`]: the same draws, but every

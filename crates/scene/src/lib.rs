@@ -34,7 +34,9 @@ pub mod triplane;
 pub use bake::{BakedScene, FEATURE_CHANNELS};
 pub use datasets::{nerf_synthetic, unbounded360, unbounded360_indoor, DatasetScene};
 pub use field::{AnalyticField, FieldPrimitive, FieldSample, Shape, SurfaceAttrs, PEAK_DENSITY};
-pub use gaussians::{Gaussian, GaussianCloud, ProjectedSplat, SplatProjector};
+pub use gaussians::{
+    Gaussian, GaussianCloud, ProjectedSplat, SplatLanes, SplatProjector, MAX_SH_FLOATS,
+};
 pub use hashgrid::{HashGrid, HashGridConfig};
 pub use kilonerf::{KiloNerfGrid, KiloNerfSample, KiloNerfScratch};
 pub use mesh::{Texture2d, TriangleMesh};

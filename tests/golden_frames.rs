@@ -305,9 +305,9 @@ fn bake_hash(scene: &BakedScene) -> u64 {
     h.texture(scene.texture());
 
     let cloud = scene.gaussians();
-    h.word(u32::from(cloud.sh_degree));
+    h.word(u32::from(cloud.sh_degree()));
     h.len(cloud.len());
-    for g in &cloud.gaussians {
+    for g in cloud.iter() {
         h.vec3s(&[g.mean, g.scale]);
         h.floats(&[g.rotation.x, g.rotation.y, g.rotation.z, g.rotation.w]);
         h.floats(&[g.opacity]);
