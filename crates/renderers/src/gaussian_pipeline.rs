@@ -36,8 +36,8 @@
 //!    tile is walked splat-major in depth order, straight from the
 //!    frame's records: a splat visits only the rows and the 8-pixel
 //!    chunks its alpha ellipse's box reaches, and tests and blends a
-//!    chunk's eight pixels as lanes ([`RayAccumulatorX8`],
-//!    [`fmath::exp_x8`]). A per-row count of pixels still below
+//!    chunk's eight pixels as lanes ([`RayAccumulatorX8`], the scalar
+//!    [`fmath::exp`] per lane). A per-row count of pixels still below
 //!    saturation skips rows that have saturated, and the tile's walk ends
 //!    when every row has, since a saturated pixel never blends again.
 //!    Every pixel still sees its splats in depth order.
