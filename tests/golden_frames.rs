@@ -85,6 +85,22 @@ const GOLDEN_FLEET_STREAM: u64 = 0x4b0506d554fd579b;
 /// a bit unnoticed. Re-bless together with `GOLDEN`.
 const GOLDEN_BAKE: u64 = 0x70d3664d0b0943fe;
 
+/// Checked-in hashes of each pipeline's served trace at the golden
+/// camera, in `all_renderers()` order: FNV-1a over the `Debug` text of
+/// the `render_traced` trace. The frame goldens pin pixels; these pin
+/// the work counts every trace builder reads (rays, samples, gate
+/// passes, deferred pixels, raster and splat pairs), so a miscounted
+/// gate cannot hide behind an unchanged image. Re-bless together with
+/// `GOLDEN`.
+const GOLDEN_TRACE: [(&str, u64); 6] = [
+    ("mesh", 0xee1403dca829cc21),
+    ("mlp", 0x67ae54a1920d6b29),
+    ("lowrank", 0x5ac95c70d36b6d3a),
+    ("hashgrid", 0xd1a12a26bca2ae23),
+    ("gaussian", 0x05458f736f831a63),
+    ("mixrt", 0xbd282920574a6972),
+];
+
 fn golden_frames() -> Vec<(String, u64)> {
     let spec = SceneSpec::demo("golden", GOLDEN_SEED).with_detail(GOLDEN_DETAIL);
     let scene = spec.bake();
@@ -97,6 +113,29 @@ fn golden_frames() -> Vec<(String, u64)> {
             let image = renderer.render(&scene, &camera);
             assert_eq!((image.width(), image.height()), GOLDEN_RES);
             (renderer.pipeline().to_string(), fnv1a(&image))
+        })
+        .collect()
+}
+
+/// FNV-1a over the `Debug` text of each pipeline's `render_traced`
+/// trace at the golden camera, in `all_renderers()` order.
+fn golden_traces() -> Vec<(String, u64)> {
+    let spec = SceneSpec::demo("golden", GOLDEN_SEED).with_detail(GOLDEN_DETAIL);
+    let scene = spec.bake();
+    let camera = spec
+        .orbit(GOLDEN_RES.0, GOLDEN_RES.1)
+        .camera_at(GOLDEN_ANGLE);
+    let mut image = Image::empty();
+    uni_render::renderers::all_renderers()
+        .iter()
+        .map(|renderer| {
+            let trace = renderer.render_traced(&scene, &camera, &mut image);
+            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+            for byte in format!("{trace:?}").bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            (renderer.pipeline().to_string(), h)
         })
         .collect()
 }
@@ -430,6 +469,58 @@ fn every_pipeline_matches_its_golden_frame_hash() {
             actual, expected,
             "{pipeline} ({name}) 64x64 frame hash changed — if intentional, \
              re-bless with UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture"
+        );
+    }
+}
+
+#[test]
+fn every_pipeline_matches_its_golden_trace_hash() {
+    let traced = golden_traces();
+    if std::env::var("UNI_RENDER_BLESS").is_ok_and(|v| v == "1") {
+        println!("const GOLDEN_TRACE: [(&str, u64); 6] = [");
+        for ((name, _), (_, hash)) in GOLDEN_TRACE.iter().zip(&traced) {
+            println!("    (\"{name}\", {hash:#018x}),");
+        }
+        println!("];");
+        return;
+    }
+    for ((name, expected), (pipeline, actual)) in GOLDEN_TRACE.iter().zip(&traced) {
+        assert_eq!(
+            actual, expected,
+            "{pipeline} ({name}) served trace hash changed (work counts) — if \
+             intentional, re-bless with UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture"
+        );
+    }
+}
+
+/// The volume pipelines at a height off the band grid — 17 rows, one
+/// full band plus a one-row tail — render the same pixels and the same
+/// trace on one worker as on four.
+#[test]
+fn volume_pipelines_match_across_worker_counts_off_the_band_grid() {
+    let spec = SceneSpec::demo("golden", GOLDEN_SEED).with_detail(GOLDEN_DETAIL);
+    let scene = spec.bake();
+    let camera = spec.orbit(40, 17).camera_at(GOLDEN_ANGLE);
+    let renderers: [Box<dyn Renderer>; 3] = [
+        Box::new(MlpPipeline::default()),
+        Box::new(LowRankPipeline::default()),
+        Box::new(HashGridPipeline::default()),
+    ];
+    let _env = common::env_lock();
+    for renderer in &renderers {
+        let run = |threads| {
+            common::with_threads(threads, || {
+                let mut image = Image::empty();
+                let trace = renderer.render_traced(&scene, &camera, &mut image);
+                (fnv1a(&image), trace)
+            })
+        };
+        let (one, four) = (run("1"), run("4"));
+        assert_eq!(
+            one,
+            four,
+            "{} frame or trace differs between 1 and 4 workers at 40x17",
+            renderer.pipeline()
         );
     }
 }
