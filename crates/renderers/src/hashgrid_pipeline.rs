@@ -7,140 +7,93 @@
 //! never reach the decoder).
 
 use crate::blending::RayAccumulator;
+use crate::march::{march_and_shade, MarchStats, VolumeShading};
 use crate::probe::Probe;
+use crate::scratch::ShadeScratch;
 use crate::{emit_hash_decoder, Renderer};
 use uni_geometry::sampling::XorShift64;
-use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
+use uni_geometry::{Aabb, Camera, Image, Rgb, StratifiedSampler, Vec3};
 use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
-use uni_scene::{BakedScene, PEAK_DENSITY};
+use uni_scene::{BakedScene, HashGrid, Mlp, PEAK_DENSITY};
 
 /// The hash-grid (volume rendering) pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HashGridPipeline {}
 
-#[derive(Debug, Clone, Copy, Default)]
-struct HashStats {
-    rays: u64,
-    rays_in_bounds: u64,
-    /// Samples tested against the occupancy proxy (cheap dense-level read).
-    samples_marched: u64,
-    /// Samples surviving the occupancy gate (full hash fetch + decoder).
-    samples_fetched: u64,
+/// The hash grid's per-sample shading: the occupancy probe gates the
+/// hash fetch and the decoder.
+struct HashShading<'a> {
+    grid: &'a HashGrid,
+    decoder: &'a Mlp,
+    samples_per_ray: usize,
 }
 
-impl HashStats {
-    fn merge(&mut self, o: HashStats) {
-        self.rays += o.rays;
-        self.rays_in_bounds += o.rays_in_bounds;
-        self.samples_marched += o.samples_marched;
-        self.samples_fetched += o.samples_fetched;
+impl VolumeShading for HashShading<'_> {
+    type RayState = ();
+    const SEED: u64 = 0xFEED;
+
+    fn bounds(&self) -> Aabb {
+        self.grid.bounds()
+    }
+
+    fn samples_per_ray(&self) -> usize {
+        self.samples_per_ray
+    }
+
+    fn prepare(&self, scratch: &mut ShadeScratch) {
+        scratch.feats.clear();
+        scratch
+            .feats
+            .resize(self.grid.config().feature_dim() as usize, 0.0);
+    }
+
+    // uni-lint: hot
+    #[inline]
+    fn shade(
+        &self,
+        p: Vec3,
+        dt: f32,
+        acc: &mut RayAccumulator,
+        _: &mut (),
+        scratch: &mut ShadeScratch,
+    ) -> bool {
+        // Occupancy gate *before* the hash fetch (Instant-NGP consults its
+        // occupancy grid first): the finest dense (collision-free) level is
+        // the proxy — where it reads ~zero density, neither the fetch nor
+        // the decoder run.
+        if self.grid.density_probe(p) < 2e-2 {
+            return false;
+        }
+        let ShadeScratch { feats, mlp, .. } = scratch;
+        self.grid.fetch(p, feats);
+        let out = self.decoder.forward_scratch(feats, mlp);
+        let density = out[0].max(0.0) * PEAK_DENSITY;
+        if density < 1e-2 {
+            return true;
+        }
+        let color = Rgb::new(
+            out[1].clamp(0.0, 1.0),
+            out[2].clamp(0.0, 1.0),
+            out[3].clamp(0.0, 1.0),
+        );
+        acc.add_density_sample(color, density, dt);
+        true
     }
 }
 
 impl HashGridPipeline {
-    /// Renders the scanlines starting at row `y0` into `chunk` (whole
-    /// rows, row-major), using the caller's ray scratch arena.
-    // uni-lint: hot
-    fn render_rows(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        y0: u32,
-        chunk: &mut [Rgb],
-        rs: &mut crate::scratch::RayScratch,
-    ) -> HashStats {
-        let bg = scene.field().background();
-        let grid = scene.hashgrid();
-        let decoder = scene.hash_decoder();
-        let bounds = grid.bounds();
-        let cfg = *grid.config();
-        let samples_per_ray = scene.spec().scaled_repr().samples_per_ray as usize;
-        let sampler = StratifiedSampler::new(samples_per_ray);
-        let mut rng = XorShift64::new(0xFEED);
-        let width = camera.width as usize;
-        let rows = chunk.len() / width.max(1);
-        let mut stats = HashStats::default();
-        let rays = camera.ray_generator();
-        {
-            let crate::scratch::RayScratch { ts, feats, mlp, .. } = rs;
-            feats.clear();
-            feats.resize(cfg.feature_dim() as usize, 0.0);
-            for dy in 0..rows {
-                let y = y0 + dy as u32;
-                let row = &mut chunk[dy * width..(dy + 1) * width];
-                for x in 0..camera.width {
-                    stats.rays += 1;
-                    let ray = rays.ray(x as f32 + 0.5, y as f32 + 0.5);
-                    let Some((t0, t1)) = bounds.intersect_ray(&ray, camera.near, camera.far) else {
-                        continue;
-                    };
-                    stats.rays_in_bounds += 1;
-                    let mut acc = RayAccumulator::new();
-                    sampler.sample_into(t0, t1, &mut rng, ts);
-                    let dt = (t1 - t0) / samples_per_ray.max(1) as f32;
-                    for &t in ts.iter() {
-                        if acc.saturated() {
-                            break;
-                        }
-                        stats.samples_marched += 1;
-                        // Occupancy gate *before* the hash fetch (Instant-NGP
-                        // consults its occupancy grid first): the finest dense
-                        // (collision-free) level is the proxy — where it reads
-                        // ~zero density, neither the fetch nor the decoder run.
-                        if grid.density_probe(ray.at(t)) < 2e-2 {
-                            continue;
-                        }
-                        stats.samples_fetched += 1;
-                        grid.fetch(ray.at(t), feats);
-                        let out = decoder.forward_scratch(feats, mlp);
-                        let density = out[0].max(0.0) * PEAK_DENSITY;
-                        if density < 1e-2 {
-                            continue;
-                        }
-                        let color = Rgb::new(
-                            out[1].clamp(0.0, 1.0),
-                            out[2].clamp(0.0, 1.0),
-                            out[3].clamp(0.0, 1.0),
-                        );
-                        acc.add_density_sample(color, density, dt);
-                    }
-                    row[x as usize] = acc.finish(bg);
-                }
-            }
-        }
-        stats
-    }
-
     fn render_internal(
         &self,
         scene: &BakedScene,
         camera: &Camera,
         target: &mut Image,
-    ) -> HashStats {
-        let bg = scene.field().background();
-        target.resize(camera.width, camera.height, bg);
-        let width = camera.width as usize;
-        let band_len = crate::scratch::BAND_ROWS as usize * width;
-        uni_parallel::par_bands_fold(
-            target.pixels_mut(),
-            band_len,
-            HashStats::default(),
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.render_rows(
-                        scene,
-                        camera,
-                        band as u32 * crate::scratch::BAND_ROWS,
-                        chunk,
-                        rs,
-                    )
-                })
-            },
-            |mut acc, s| {
-                acc.merge(s);
-                acc
-            },
-        )
+    ) -> MarchStats {
+        let shading = HashShading {
+            grid: scene.hashgrid(),
+            decoder: scene.hash_decoder(),
+            samples_per_ray: scene.spec().scaled_repr().samples_per_ray as usize,
+        };
+        march_and_shade(scene, camera, target, &shading)
     }
 
     /// The seed-era scalar reference path: single-threaded, allocating a
@@ -202,7 +155,7 @@ impl HashGridPipeline {
         &self,
         scene: &BakedScene,
         camera: &Camera,
-        stats: &HashStats,
+        stats: &MarchStats,
         probe: &Probe,
     ) -> Trace {
         let mut trace = Trace::new(Pipeline::HashGrid, camera.width, camera.height);
@@ -212,7 +165,7 @@ impl HashGridPipeline {
         let sample_ratio =
             f64::from(repr.samples_per_ray) / f64::from(scaled.samples_per_ray.max(1));
         let marched = (probe.scale(stats.samples_marched) as f64 * sample_ratio) as u64;
-        let fetched = (probe.scale(stats.samples_fetched) as f64 * sample_ratio) as u64;
+        let fetched = (probe.scale(stats.samples_gated) as f64 * sample_ratio) as u64;
 
         // (1) Occupancy probe on the finest dense level (one level, one
         // channel) for every marched sample.
@@ -351,11 +304,11 @@ mod tests {
         let stats =
             HashGridPipeline::default().render_internal(scene, &camera, &mut Image::empty());
         assert!(stats.samples_marched > 0);
-        assert!(stats.samples_fetched > 0, "some samples survive the gate");
+        assert!(stats.samples_gated > 0, "some samples survive the gate");
         assert!(
-            stats.samples_fetched < stats.samples_marched,
+            stats.samples_gated < stats.samples_marched,
             "fetch only on occupied samples: {} of {}",
-            stats.samples_fetched,
+            stats.samples_gated,
             stats.samples_marched
         );
     }

@@ -42,7 +42,7 @@ impl MixRtPipeline {
         let width = camera.width as usize;
         let rows = chunk.len() / width.max(1);
         {
-            let crate::scratch::RayScratch { feats, mlp, .. } = rs;
+            let crate::scratch::ShadeScratch { feats, mlp, .. } = &mut rs.shade;
             feats.clear();
             feats.resize(grid.config().feature_dim() as usize, 0.0);
             for dy in 0..rows {

@@ -12,6 +12,12 @@
 //! | [`GaussianPipeline`] | space conversion → splatting → sorting → MLP → blending (Fig. 6) |
 //! | [`MixRtPipeline`] | mesh rasterization + hash-grid color field (Sec. VII-C, MixRT) |
 //!
+//! The pipelines share two frame loops. Mesh and MixRT rasterize through
+//! `mesh_pipeline::rasterize_and_shade` and supply only their per-pixel
+//! shading of the hit buffer. MLP, low-rank and hash grid run the same
+//! ray casting → fetch → MLP → blending chain (Figs. 3–5) through
+//! `march::march_and_shade` and supply only their per-sample shading.
+//!
 //! Every pipeline implements [`Renderer`]: it can `render` an image *and*
 //! `trace` the frame's decomposition into the five common micro-operators of
 //! Sec. IV — the trace drives the Uni-Render accelerator simulator and
@@ -23,6 +29,7 @@ pub mod gaussian_pipeline;
 pub mod hashgrid_pipeline;
 pub mod hybrid_pipeline;
 pub mod lowrank_pipeline;
+pub(crate) mod march;
 pub mod mesh_pipeline;
 pub mod mlp_pipeline;
 pub mod probe;

@@ -6,157 +6,122 @@
 //! and a small *deferred* MLP adds view-dependent color once per pixel.
 
 use crate::blending::RayAccumulator;
+use crate::march::{march_and_shade, MarchStats, VolumeShading};
 use crate::probe::Probe;
+use crate::scratch::ShadeScratch;
 use crate::{emit_mlp_layers, Renderer};
 use uni_geometry::sampling::XorShift64;
-use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
+use uni_geometry::{Aabb, Camera, Image, Ray, Rgb, StratifiedSampler, Vec3};
 use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
-use uni_scene::{BakedScene, PEAK_DENSITY};
+use uni_scene::{BakedScene, Mlp, Triplane, PEAK_DENSITY};
 
 /// The low-rank-decomposed-grid (volume rendering) pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LowRankPipeline {}
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LowRankStats {
-    rays: u64,
-    rays_in_bounds: u64,
-    samples_tested: u64,
-    samples_contributing: u64,
-    pixels_deferred: u64,
+/// The low-rank grid's shading: per sample, the density cut gates the
+/// diffuse composite; per pixel, the deferred MLP adds view-dependent
+/// color.
+struct LowRankShading<'a> {
+    triplane: &'a Triplane,
+    deferred: &'a Mlp,
+    samples_per_ray: usize,
 }
 
-impl LowRankStats {
-    fn merge(&mut self, o: LowRankStats) {
-        self.rays += o.rays;
-        self.rays_in_bounds += o.rays_in_bounds;
-        self.samples_tested += o.samples_tested;
-        self.samples_contributing += o.samples_contributing;
-        self.pixels_deferred += o.pixels_deferred;
+impl VolumeShading for LowRankShading<'_> {
+    /// The deferred view-dependence features, accumulated alongside
+    /// color with the same compositing weights.
+    type RayState = [f32; 4];
+    const SEED: u64 = 0xDECAF;
+
+    fn bounds(&self) -> Aabb {
+        self.triplane.bounds()
+    }
+
+    fn samples_per_ray(&self) -> usize {
+        self.samples_per_ray
+    }
+
+    fn prepare(&self, scratch: &mut ShadeScratch) {
+        scratch.feats.clear();
+        scratch
+            .feats
+            .resize(self.triplane.config().channels as usize, 0.0);
+    }
+
+    // uni-lint: hot
+    #[inline]
+    fn shade(
+        &self,
+        p: Vec3,
+        dt: f32,
+        acc: &mut RayAccumulator,
+        spec_feats: &mut [f32; 4],
+        scratch: &mut ShadeScratch,
+    ) -> bool {
+        let feats = &mut scratch.feats;
+        self.triplane.fetch(p, feats);
+        let density = feats[0].max(0.0) * PEAK_DENSITY;
+        if density < 1e-2 {
+            return false;
+        }
+        let diffuse = Rgb::new(
+            feats[1].clamp(0.0, 1.0),
+            feats[2].clamp(0.0, 1.0),
+            feats[3].clamp(0.0, 1.0),
+        );
+        let t_before = acc.transmittance();
+        acc.add_density_sample(diffuse, density, dt);
+        let weight = t_before - acc.transmittance();
+        for (sf, &f) in spec_feats.iter_mut().zip(&feats[4..8]) {
+            *sf += weight * f;
+        }
+        true
+    }
+
+    // uni-lint: hot
+    fn finish(
+        &self,
+        ray: &Ray,
+        acc: RayAccumulator,
+        spec_feats: &[f32; 4],
+        bg: Rgb,
+        scratch: &mut ShadeScratch,
+    ) -> (Rgb, bool) {
+        let mut color = acc.finish_premultiplied().0;
+        let deferred = 1.0 - acc.transmittance() > 1e-3;
+        if deferred {
+            let spec = self.deferred.forward_scratch(
+                &[
+                    spec_feats[0],
+                    spec_feats[1],
+                    spec_feats[2],
+                    spec_feats[3],
+                    ray.direction.x,
+                    ray.direction.y,
+                    ray.direction.z,
+                ],
+                &mut scratch.mlp,
+            );
+            color = Rgb::new(color.r + spec[0], color.g + spec[1], color.b + spec[2]);
+        }
+        ((color + bg * acc.transmittance()).saturate(), deferred)
     }
 }
 
 impl LowRankPipeline {
-    /// Renders the scanlines starting at row `y0` into `chunk` (whole
-    /// rows, row-major), using the caller's ray scratch arena.
-    // uni-lint: hot
-    fn render_rows(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        y0: u32,
-        chunk: &mut [Rgb],
-        rs: &mut crate::scratch::RayScratch,
-    ) -> LowRankStats {
-        let bg = scene.field().background();
-        let tp = scene.triplane();
-        let bounds = tp.bounds();
-        let channels = tp.config().channels as usize;
-        let samples_per_ray = scene.spec().scaled_repr().samples_per_ray as usize;
-        let sampler = StratifiedSampler::new(samples_per_ray);
-        let mut rng = XorShift64::new(0xDECAF);
-        let width = camera.width as usize;
-        let rows = chunk.len() / width.max(1);
-        let mut stats = LowRankStats::default();
-        let rays = camera.ray_generator();
-        {
-            let crate::scratch::RayScratch { ts, feats, mlp, .. } = rs;
-            feats.clear();
-            feats.resize(channels, 0.0);
-            for dy in 0..rows {
-                let y = y0 + dy as u32;
-                let row = &mut chunk[dy * width..(dy + 1) * width];
-                for x in 0..camera.width {
-                    stats.rays += 1;
-                    let ray = rays.ray(x as f32 + 0.5, y as f32 + 0.5);
-                    let Some((t0, t1)) = bounds.intersect_ray(&ray, camera.near, camera.far) else {
-                        continue;
-                    };
-                    stats.rays_in_bounds += 1;
-                    let mut acc = RayAccumulator::new();
-                    // Deferred view-dependence features accumulate alongside
-                    // color, weighted by the same compositing weights.
-                    let mut spec_feats = [0f32; 4];
-                    sampler.sample_into(t0, t1, &mut rng, ts);
-                    let dt = (t1 - t0) / samples_per_ray.max(1) as f32;
-                    for &t in ts.iter() {
-                        if acc.saturated() {
-                            break;
-                        }
-                        stats.samples_tested += 1;
-                        tp.fetch(ray.at(t), feats);
-                        let density = feats[0].max(0.0) * PEAK_DENSITY;
-                        if density < 1e-2 {
-                            continue;
-                        }
-                        stats.samples_contributing += 1;
-                        let diffuse = Rgb::new(
-                            feats[1].clamp(0.0, 1.0),
-                            feats[2].clamp(0.0, 1.0),
-                            feats[3].clamp(0.0, 1.0),
-                        );
-                        let t_before = acc.transmittance();
-                        acc.add_density_sample(diffuse, density, dt);
-                        let weight = t_before - acc.transmittance();
-                        for (sf, &f) in spec_feats.iter_mut().zip(&feats[4..8]) {
-                            *sf += weight * f;
-                        }
-                    }
-                    let mut color = acc.finish_premultiplied().0;
-                    let alpha = 1.0 - acc.transmittance();
-                    if alpha > 1e-3 {
-                        stats.pixels_deferred += 1;
-                        let spec = scene.deferred_mlp().forward_scratch(
-                            &[
-                                spec_feats[0],
-                                spec_feats[1],
-                                spec_feats[2],
-                                spec_feats[3],
-                                ray.direction.x,
-                                ray.direction.y,
-                                ray.direction.z,
-                            ],
-                            mlp,
-                        );
-                        color = Rgb::new(color.r + spec[0], color.g + spec[1], color.b + spec[2]);
-                    }
-                    row[x as usize] = (color + bg * acc.transmittance()).saturate();
-                }
-            }
-        }
-        stats
-    }
-
     fn render_internal(
         &self,
         scene: &BakedScene,
         camera: &Camera,
         target: &mut Image,
-    ) -> LowRankStats {
-        let bg = scene.field().background();
-        target.resize(camera.width, camera.height, bg);
-        let width = camera.width as usize;
-        let band_len = crate::scratch::BAND_ROWS as usize * width;
-        uni_parallel::par_bands_fold(
-            target.pixels_mut(),
-            band_len,
-            LowRankStats::default(),
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.render_rows(
-                        scene,
-                        camera,
-                        band as u32 * crate::scratch::BAND_ROWS,
-                        chunk,
-                        rs,
-                    )
-                })
-            },
-            |mut acc, s| {
-                acc.merge(s);
-                acc
-            },
-        )
+    ) -> MarchStats {
+        let shading = LowRankShading {
+            triplane: scene.triplane(),
+            deferred: scene.deferred_mlp(),
+            samples_per_ray: scene.spec().scaled_repr().samples_per_ray as usize,
+        };
+        march_and_shade(scene, camera, target, &shading)
     }
 
     /// The seed-era scalar reference path: single-threaded, allocating a
@@ -234,7 +199,7 @@ impl LowRankPipeline {
         &self,
         scene: &BakedScene,
         camera: &Camera,
-        stats: &LowRankStats,
+        stats: &MarchStats,
         probe: &Probe,
     ) -> Trace {
         let mut trace = Trace::new(Pipeline::LowRankGrid, camera.width, camera.height);
@@ -243,8 +208,8 @@ impl LowRankPipeline {
         let scaled = scene.spec().scaled_repr();
         let sample_ratio =
             f64::from(repr.samples_per_ray) / f64::from(scaled.samples_per_ray.max(1));
-        let points = (probe.scale(stats.samples_tested) as f64 * sample_ratio) as u64;
-        let contributing = (probe.scale(stats.samples_contributing) as f64 * sample_ratio) as u64;
+        let points = (probe.scale(stats.samples_marched) as f64 * sample_ratio) as u64;
+        let contributing = (probe.scale(stats.samples_gated) as f64 * sample_ratio) as u64;
         let channels = repr.triplane.channels;
         let plane_bytes =
             3 * u64::from(repr.triplane.plane_resolution).pow(2) * u64::from(channels);

@@ -366,7 +366,7 @@ impl MeshPipeline {
         let rows = chunk.len() / width.max(1);
         let rays = camera.ray_generator();
         {
-            let crate::scratch::RayScratch { feats, mlp, .. } = rs;
+            let crate::scratch::ShadeScratch { feats, mlp, .. } = &mut rs.shade;
             feats.clear();
             feats.resize(tex.channels() as usize, 0.0);
             for dy in 0..rows {

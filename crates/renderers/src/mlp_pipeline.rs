@@ -9,12 +9,14 @@
 //! default because it assumes slow camera motion.
 
 use crate::blending::RayAccumulator;
+use crate::march::{march_and_shade, MarchStats, VolumeShading};
 use crate::probe::Probe;
+use crate::scratch::ShadeScratch;
 use crate::Renderer;
 use uni_geometry::sampling::XorShift64;
-use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
+use uni_geometry::{Aabb, Camera, Image, StratifiedSampler, Vec3};
 use uni_microops::{Invocation, Pipeline, Trace, Workload};
-use uni_scene::BakedScene;
+use uni_scene::{BakedScene, KiloNerfGrid};
 
 /// Compute reduction factor of MetaVRain-style Pixel-Reuse (Sec. VII-B:
 /// "reducing the computation by ∼20×").
@@ -35,109 +37,58 @@ impl MlpPipeline {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct VolumeStats {
-    rays: u64,
-    rays_in_bounds: u64,
-    samples_tested: u64,
-    samples_occupied: u64,
+/// KiloNeRF's per-sample shading: only samples in occupied cells reach
+/// a tiny MLP.
+struct KiloNerfShading<'a> {
+    grid: &'a KiloNerfGrid,
+    samples_per_ray: usize,
 }
 
-impl VolumeStats {
-    fn merge(&mut self, o: VolumeStats) {
-        self.rays += o.rays;
-        self.rays_in_bounds += o.rays_in_bounds;
-        self.samples_tested += o.samples_tested;
-        self.samples_occupied += o.samples_occupied;
+impl VolumeShading for KiloNerfShading<'_> {
+    type RayState = ();
+    const SEED: u64 = 0xC0FFEE;
+
+    fn bounds(&self) -> Aabb {
+        self.grid.bounds()
+    }
+
+    fn samples_per_ray(&self) -> usize {
+        self.samples_per_ray
+    }
+
+    // uni-lint: hot
+    #[inline]
+    fn shade(
+        &self,
+        p: Vec3,
+        dt: f32,
+        acc: &mut RayAccumulator,
+        _: &mut (),
+        scratch: &mut ShadeScratch,
+    ) -> bool {
+        // Occupancy skip: empty cells never reach an MLP.
+        let Some(s) = self.grid.query_scratch(p, &mut scratch.kilo) else {
+            return false;
+        };
+        if s.density > 1e-3 {
+            acc.add_density_sample(s.color, s.density, dt);
+        }
+        true
     }
 }
 
 impl MlpPipeline {
-    /// Renders the scanlines starting at row `y0` into `chunk` (whole
-    /// rows, row-major), using the caller's ray scratch arena. The band
-    /// loop for the parallel path and, over the full image, the scalar
-    /// reference.
-    // uni-lint: hot
-    fn render_rows(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        y0: u32,
-        chunk: &mut [Rgb],
-        rs: &mut crate::scratch::RayScratch,
-    ) -> VolumeStats {
-        let field_bg = scene.field().background();
-        let bounds = scene.kilonerf().bounds();
-        let samples_per_ray = scene.spec().scaled_repr().mlp_samples_per_ray as usize;
-        let sampler = StratifiedSampler::new(samples_per_ray);
-        let mut rng = XorShift64::new(0xC0FFEE);
-        let width = camera.width as usize;
-        let rows = chunk.len() / width.max(1);
-        let mut stats = VolumeStats::default();
-        let rays = camera.ray_generator();
-        let crate::scratch::RayScratch { ts, kilo, .. } = rs;
-        for dy in 0..rows {
-            let y = y0 + dy as u32;
-            let row = &mut chunk[dy * width..(dy + 1) * width];
-            for x in 0..camera.width {
-                stats.rays += 1;
-                let ray = rays.ray(x as f32 + 0.5, y as f32 + 0.5);
-                let Some((t0, t1)) = bounds.intersect_ray(&ray, camera.near, camera.far) else {
-                    continue;
-                };
-                stats.rays_in_bounds += 1;
-                let mut acc = RayAccumulator::new();
-                sampler.sample_into(t0, t1, &mut rng, ts);
-                let dt = (t1 - t0) / samples_per_ray.max(1) as f32;
-                for &t in ts.iter() {
-                    if acc.saturated() {
-                        break;
-                    }
-                    stats.samples_tested += 1;
-                    // Occupancy skip: empty cells never reach an MLP.
-                    if let Some(s) = scene.kilonerf().query_scratch(ray.at(t), kilo) {
-                        stats.samples_occupied += 1;
-                        if s.density > 1e-3 {
-                            acc.add_density_sample(s.color, s.density, dt);
-                        }
-                    }
-                }
-                row[x as usize] = acc.finish(field_bg);
-            }
-        }
-        stats
-    }
-
     fn render_internal(
         &self,
         scene: &BakedScene,
         camera: &Camera,
         target: &mut Image,
-    ) -> VolumeStats {
-        let field_bg = scene.field().background();
-        target.resize(camera.width, camera.height, field_bg);
-        let width = camera.width as usize;
-        let band_len = crate::scratch::BAND_ROWS as usize * width;
-        uni_parallel::par_bands_fold(
-            target.pixels_mut(),
-            band_len,
-            VolumeStats::default(),
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.render_rows(
-                        scene,
-                        camera,
-                        band as u32 * crate::scratch::BAND_ROWS,
-                        chunk,
-                        rs,
-                    )
-                })
-            },
-            |mut acc, s| {
-                acc.merge(s);
-                acc
-            },
-        )
+    ) -> MarchStats {
+        let shading = KiloNerfShading {
+            grid: scene.kilonerf(),
+            samples_per_ray: scene.spec().scaled_repr().mlp_samples_per_ray as usize,
+        };
+        march_and_shade(scene, camera, target, &shading)
     }
 
     /// The seed-era scalar reference path: single-threaded, allocating a
@@ -183,7 +134,7 @@ impl MlpPipeline {
         &self,
         scene: &BakedScene,
         camera: &Camera,
-        stats: &VolumeStats,
+        stats: &MarchStats,
         probe: &Probe,
     ) -> Trace {
         let mut trace = Trace::new(Pipeline::Mlp, camera.width, camera.height);
@@ -201,7 +152,7 @@ impl MlpPipeline {
         // (possibly detail-reduced) samples-per-ray to the full value.
         let sample_ratio =
             f64::from(repr.mlp_samples_per_ray) / f64::from(scaled.mlp_samples_per_ray.max(1));
-        let occupied = (probe.scale(stats.samples_occupied) as f64 * sample_ratio) as u64 / reuse;
+        let occupied = (probe.scale(stats.samples_gated) as f64 * sample_ratio) as u64 / reuse;
 
         // The tiny-MLP complement at full scale: every occupied cell owns a
         // network whose weights stream through the FF scratchpads.
@@ -328,12 +279,12 @@ mod tests {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 64, 48);
         let stats = MlpPipeline::default().render_internal(scene, &camera, &mut Image::empty());
-        assert!(stats.samples_tested > 0);
+        assert!(stats.samples_marched > 0);
         assert!(
-            stats.samples_occupied < stats.samples_tested,
+            stats.samples_gated < stats.samples_marched,
             "empty space must be skipped: {} occupied of {}",
-            stats.samples_occupied,
-            stats.samples_tested
+            stats.samples_gated,
+            stats.samples_marched
         );
         assert!(stats.rays_in_bounds <= stats.rays);
     }

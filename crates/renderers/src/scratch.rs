@@ -9,7 +9,8 @@
 //!
 //! The thread-local is consulted only at the *band boundary* (one
 //! [`with_ray_scratch`] call per band closure); everything below it —
-//! `render_rows` / `shade_rows` and the per-ray loops — takes the
+//! the shared volume loop of [`march_and_shade`](crate::march::march_and_shade),
+//! the raster pipelines' `shade_rows` and the per-ray loops — takes the
 //! [`RayScratch`] as an explicit `&mut` parameter, so the data path is
 //! visible in the signatures and callers with their own arenas (tests,
 //! future batching layers) can bypass the thread-local entirely.
@@ -27,6 +28,14 @@ pub(crate) const BAND_ROWS: u32 = 16;
 pub(crate) struct RayScratch {
     /// Stratified sample distances along the current ray.
     pub ts: Vec<f32>,
+    /// The shading buffers, borrowed apart from `ts` so a ray's samples
+    /// can be shaded while the march walks them.
+    pub shade: ShadeScratch,
+}
+
+/// Reusable per-sample and per-pixel shading buffers.
+#[derive(Debug, Default)]
+pub(crate) struct ShadeScratch {
     /// Fetched feature vector (hash grid, tri-plane, texture).
     pub feats: Vec<f32>,
     /// Decoder / deferred MLP activations.
