@@ -10,8 +10,8 @@
 //! starts on first use and persists across frames, so a frame pays
 //! neither thread spawn nor join; the calling thread claims bands
 //! alongside the helpers. The hermetic build environment has no rayon,
-//! and band-granularity work needs nothing fancier. With the `threads`
-//! feature disabled (or one available core, or `UNI_RENDER_THREADS=1`)
+//! and band-granularity work needs nothing fancier. With one worker (one
+//! available core, `UNI_RENDER_THREADS=1` or `set_worker_count(Some(1))`)
 //! everything runs serially on the calling thread; callers keep a single
 //! code path either way.
 
@@ -109,10 +109,10 @@ impl<R> Ticket<R> {
 /// so a caller that submits in a deterministic order and waits in that
 /// same order observes results independent of execution timing.
 ///
-/// With the `threads` feature disabled, with `UNI_RENDER_THREADS=1`, or
-/// with `lanes <= 1`, the pool is *inline*: `submit` runs the job on the
-/// calling thread and the ticket is immediately ready. Callers keep a
-/// single code path either way.
+/// With one worker (see [`worker_count`]) or with `lanes <= 1`, the pool
+/// is *inline*: `submit` runs the job on the calling thread and the
+/// ticket is immediately ready. Callers keep a single code path either
+/// way.
 #[derive(Debug)]
 pub struct LanePool {
     lanes: Vec<Lane>,
@@ -128,7 +128,7 @@ impl LanePool {
     /// Creates a pool of `lanes` persistent workers.
     ///
     /// Requests are clamped to at least one lane. The pool degenerates to
-    /// inline execution when threading is unavailable (see type docs).
+    /// inline execution on one worker (see type docs).
     pub fn new(lanes: usize) -> Self {
         let lanes = lanes.max(1);
         if !is_parallel() || lanes == 1 {
@@ -274,28 +274,20 @@ static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
 /// A [`set_worker_count`] pin wins; otherwise `UNI_RENDER_THREADS`
 /// overrides detection. The variable is read on every call, so a
 /// process may change it between fan-outs; the hardware count is
-/// detected once per process. Without the `threads` feature this is
-/// always 1.
+/// detected once per process.
 pub fn worker_count() -> usize {
-    #[cfg(not(feature = "threads"))]
-    {
-        1
+    let pinned = WORKER_PIN.load(Ordering::SeqCst);
+    if pinned != 0 {
+        return pinned;
     }
-    #[cfg(feature = "threads")]
-    {
-        let pinned = WORKER_PIN.load(Ordering::SeqCst);
-        if pinned != 0 {
-            return pinned;
+    if let Ok(v) = std::env::var("UNI_RENDER_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            return n.max(1);
         }
-        if let Ok(v) = std::env::var("UNI_RENDER_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        *HARDWARE_THREADS.get_or_init(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
     }
+    *HARDWARE_THREADS.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// Whether fan-outs will actually run on more than one thread.
@@ -632,7 +624,6 @@ mod tests {
     /// Whether a fan-out over `workers` indices ran them all at once,
     /// one per thread: each index waits (up to a timeout) until all have
     /// arrived, so no thread can claim two of them in time.
-    #[cfg(feature = "threads")]
     fn fan_out_runs_on_every_worker(workers: usize) -> bool {
         let arrived = std::sync::Mutex::new(0);
         let all_arrived = std::sync::Condvar::new();
@@ -653,7 +644,6 @@ mod tests {
     fn worker_pin_overrides_environment() {
         let _serial = PIN.lock().unwrap_or_else(PoisonError::into_inner);
         let prev = set_worker_count(Some(3));
-        #[cfg(feature = "threads")]
         assert_eq!(worker_count(), 3);
         let restored = set_worker_count(prev);
         assert_eq!(restored, Some(3));
@@ -696,7 +686,6 @@ mod tests {
         assert_eq!(squares, (0..20).map(|i| i * i).collect::<Vec<_>>());
     }
 
-    #[cfg(feature = "threads")]
     #[test]
     fn panicking_band_reraises_its_payload_and_the_pool_survives() {
         #[derive(Debug, PartialEq)]
@@ -720,7 +709,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "threads")]
     #[test]
     fn nested_fan_out_completes() {
         with_workers(4, || {
@@ -735,7 +723,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "threads")]
     #[test]
     fn concurrent_fan_outs_keep_their_own_results_in_order() {
         with_workers(4, || {
@@ -765,7 +752,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "threads")]
     #[test]
     fn raising_the_worker_count_grows_the_pool() {
         assert!(with_workers(2, || fan_out_runs_on_every_worker(2)));
