@@ -285,9 +285,8 @@ pub fn worker_count() -> usize {
             return n.max(1);
         }
     }
-    *HARDWARE_THREADS.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
+    *HARDWARE_THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Whether fan-outs will actually run on more than one thread.

@@ -14,88 +14,62 @@ use crate::{emit_hash_decoder, Renderer};
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Aabb, Camera, Image, Rgb, StratifiedSampler, Vec3};
 use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
-use uni_scene::{BakedScene, HashGrid, Mlp, PEAK_DENSITY};
+use uni_scene::{BakedScene, PEAK_DENSITY};
 
 /// The hash-grid (volume rendering) pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HashGridPipeline {}
 
-/// The hash grid's per-sample shading: the occupancy probe gates the
-/// hash fetch and the decoder.
-struct HashShading<'a> {
-    grid: &'a HashGrid,
-    decoder: &'a Mlp,
-    samples_per_ray: usize,
-}
-
-impl VolumeShading for HashShading<'_> {
+/// Per sample, the occupancy probe gates the hash fetch and the decoder.
+impl VolumeShading for HashGridPipeline {
     type RayState = ();
     const SEED: u64 = 0xFEED;
 
-    fn bounds(&self) -> Aabb {
-        self.grid.bounds()
+    fn bounds(&self, scene: &BakedScene) -> Aabb {
+        scene.hashgrid().bounds()
     }
 
-    fn samples_per_ray(&self) -> usize {
-        self.samples_per_ray
+    fn samples_per_ray(&self, scene: &BakedScene) -> u32 {
+        scene.spec().scaled_repr().samples_per_ray
     }
 
-    fn prepare(&self, scratch: &mut ShadeScratch) {
-        scratch.feats.clear();
-        scratch
-            .feats
-            .resize(self.grid.config().feature_dim() as usize, 0.0);
+    fn feature_dim(&self, scene: &BakedScene) -> usize {
+        scene.hashgrid().config().feature_dim() as usize
     }
 
     // uni-lint: hot
     #[inline]
     fn shade(
         &self,
+        scene: &BakedScene,
         p: Vec3,
         dt: f32,
         acc: &mut RayAccumulator,
         _: &mut (),
         scratch: &mut ShadeScratch,
     ) -> bool {
+        let grid = scene.hashgrid();
         // Occupancy gate *before* the hash fetch (Instant-NGP consults its
         // occupancy grid first): the finest dense (collision-free) level is
         // the proxy — where it reads ~zero density, neither the fetch nor
         // the decoder run.
-        if self.grid.density_probe(p) < 2e-2 {
+        if grid.density_probe(p) < 2e-2 {
             return false;
         }
         let ShadeScratch { feats, mlp, .. } = scratch;
-        self.grid.fetch(p, feats);
-        let out = self.decoder.forward_scratch(feats, mlp);
+        grid.fetch(p, feats);
+        let out = scene.hash_decoder().forward_scratch(feats, mlp);
         let density = out[0].max(0.0) * PEAK_DENSITY;
         if density < 1e-2 {
             return true;
         }
-        let color = Rgb::new(
-            out[1].clamp(0.0, 1.0),
-            out[2].clamp(0.0, 1.0),
-            out[3].clamp(0.0, 1.0),
-        );
+        let color = Rgb::new(out[1], out[2], out[3]).saturate();
         acc.add_density_sample(color, density, dt);
         true
     }
 }
 
 impl HashGridPipeline {
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> MarchStats {
-        let shading = HashShading {
-            grid: scene.hashgrid(),
-            decoder: scene.hash_decoder(),
-            samples_per_ray: scene.spec().scaled_repr().samples_per_ray as usize,
-        };
-        march_and_shade(scene, camera, target, &shading)
-    }
-
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh decoder activations per
     /// sample, probing and fetching through the uncached per-call
@@ -235,17 +209,17 @@ impl Renderer for HashGridPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        march_and_shade(scene, camera, target, self);
     }
 
     fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
-        let stats = self.render_internal(scene, camera, target);
+        let stats = march_and_shade(scene, camera, target, self);
         self.trace_from(scene, camera, &stats, &Probe::exact(camera))
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
         let probe = Probe::plan(camera);
-        let stats = self.render_internal(scene, &probe.camera, &mut Image::empty());
+        let stats = march_and_shade(scene, &probe.camera, &mut Image::empty(), self);
         self.trace_from(scene, camera, &stats, &probe)
     }
 }
@@ -301,8 +275,12 @@ mod tests {
     fn occupancy_skip_gates_the_fetch() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 64, 48);
-        let stats =
-            HashGridPipeline::default().render_internal(scene, &camera, &mut Image::empty());
+        let stats = march_and_shade(
+            scene,
+            &camera,
+            &mut Image::empty(),
+            &HashGridPipeline::default(),
+        );
         assert!(stats.samples_marched > 0);
         assert!(stats.samples_gated > 0, "some samples survive the gate");
         assert!(

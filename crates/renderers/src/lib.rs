@@ -12,11 +12,9 @@
 //! | [`GaussianPipeline`] | space conversion → splatting → sorting → MLP → blending (Fig. 6) |
 //! | [`MixRtPipeline`] | mesh rasterization + hash-grid color field (Sec. VII-C, MixRT) |
 //!
-//! The pipelines share two frame loops. Mesh and MixRT rasterize through
-//! `mesh_pipeline::rasterize_and_shade` and supply only their per-pixel
-//! shading of the hit buffer. MLP, low-rank and hash grid run the same
-//! ray casting → fetch → MLP → blending chain (Figs. 3–5) through
-//! `march::march_and_shade` and supply only their per-sample shading.
+//! Two frame loops serve five pipelines: mesh and MixRT shade the hit
+//! buffer of `mesh_pipeline::rasterize_and_shade`; MLP, low-rank and hash
+//! grid supply per-sample shading to `march::march_and_shade`.
 //!
 //! Every pipeline implements [`Renderer`]: it can `render` an image *and*
 //! `trace` the frame's decomposition into the five common micro-operators of

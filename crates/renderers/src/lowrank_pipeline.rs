@@ -13,46 +13,37 @@ use crate::{emit_mlp_layers, Renderer};
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Aabb, Camera, Image, Ray, Rgb, StratifiedSampler, Vec3};
 use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
-use uni_scene::{BakedScene, Mlp, Triplane, PEAK_DENSITY};
+use uni_scene::{BakedScene, PEAK_DENSITY};
 
 /// The low-rank-decomposed-grid (volume rendering) pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LowRankPipeline {}
 
-/// The low-rank grid's shading: per sample, the density cut gates the
-/// diffuse composite; per pixel, the deferred MLP adds view-dependent
-/// color.
-struct LowRankShading<'a> {
-    triplane: &'a Triplane,
-    deferred: &'a Mlp,
-    samples_per_ray: usize,
-}
-
-impl VolumeShading for LowRankShading<'_> {
+/// Per sample, the density cut gates the diffuse composite; per pixel,
+/// the deferred MLP adds view-dependent color.
+impl VolumeShading for LowRankPipeline {
     /// The deferred view-dependence features, accumulated alongside
     /// color with the same compositing weights.
     type RayState = [f32; 4];
     const SEED: u64 = 0xDECAF;
 
-    fn bounds(&self) -> Aabb {
-        self.triplane.bounds()
+    fn bounds(&self, scene: &BakedScene) -> Aabb {
+        scene.triplane().bounds()
     }
 
-    fn samples_per_ray(&self) -> usize {
-        self.samples_per_ray
+    fn samples_per_ray(&self, scene: &BakedScene) -> u32 {
+        scene.spec().scaled_repr().samples_per_ray
     }
 
-    fn prepare(&self, scratch: &mut ShadeScratch) {
-        scratch.feats.clear();
-        scratch
-            .feats
-            .resize(self.triplane.config().channels as usize, 0.0);
+    fn feature_dim(&self, scene: &BakedScene) -> usize {
+        scene.triplane().config().channels as usize
     }
 
     // uni-lint: hot
     #[inline]
     fn shade(
         &self,
+        scene: &BakedScene,
         p: Vec3,
         dt: f32,
         acc: &mut RayAccumulator,
@@ -60,16 +51,12 @@ impl VolumeShading for LowRankShading<'_> {
         scratch: &mut ShadeScratch,
     ) -> bool {
         let feats = &mut scratch.feats;
-        self.triplane.fetch(p, feats);
+        scene.triplane().fetch(p, feats);
         let density = feats[0].max(0.0) * PEAK_DENSITY;
         if density < 1e-2 {
             return false;
         }
-        let diffuse = Rgb::new(
-            feats[1].clamp(0.0, 1.0),
-            feats[2].clamp(0.0, 1.0),
-            feats[3].clamp(0.0, 1.0),
-        );
+        let diffuse = Rgb::new(feats[1], feats[2], feats[3]).saturate();
         let t_before = acc.transmittance();
         acc.add_density_sample(diffuse, density, dt);
         let weight = t_before - acc.transmittance();
@@ -82,6 +69,7 @@ impl VolumeShading for LowRankShading<'_> {
     // uni-lint: hot
     fn finish(
         &self,
+        scene: &BakedScene,
         ray: &Ray,
         acc: RayAccumulator,
         spec_feats: &[f32; 4],
@@ -91,18 +79,11 @@ impl VolumeShading for LowRankShading<'_> {
         let mut color = acc.finish_premultiplied().0;
         let deferred = 1.0 - acc.transmittance() > 1e-3;
         if deferred {
-            let spec = self.deferred.forward_scratch(
-                &[
-                    spec_feats[0],
-                    spec_feats[1],
-                    spec_feats[2],
-                    spec_feats[3],
-                    ray.direction.x,
-                    ray.direction.y,
-                    ray.direction.z,
-                ],
-                &mut scratch.mlp,
-            );
+            let [f0, f1, f2, f3] = *spec_feats;
+            let d = ray.direction;
+            let spec = scene
+                .deferred_mlp()
+                .forward_scratch(&[f0, f1, f2, f3, d.x, d.y, d.z], &mut scratch.mlp);
             color = Rgb::new(color.r + spec[0], color.g + spec[1], color.b + spec[2]);
         }
         ((color + bg * acc.transmittance()).saturate(), deferred)
@@ -110,20 +91,6 @@ impl VolumeShading for LowRankShading<'_> {
 }
 
 impl LowRankPipeline {
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> MarchStats {
-        let shading = LowRankShading {
-            triplane: scene.triplane(),
-            deferred: scene.deferred_mlp(),
-            samples_per_ray: scene.spec().scaled_repr().samples_per_ray as usize,
-        };
-        march_and_shade(scene, camera, target, &shading)
-    }
-
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh deferred-MLP activations per
     /// covered pixel, fetching features with the per-channel
@@ -279,17 +246,17 @@ impl Renderer for LowRankPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        march_and_shade(scene, camera, target, self);
     }
 
     fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
-        let stats = self.render_internal(scene, camera, target);
+        let stats = march_and_shade(scene, camera, target, self);
         self.trace_from(scene, camera, &stats, &Probe::exact(camera))
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
         let probe = Probe::plan(camera);
-        let stats = self.render_internal(scene, &probe.camera, &mut Image::empty());
+        let stats = march_and_shade(scene, &probe.camera, &mut Image::empty(), self);
         self.trace_from(scene, camera, &stats, &probe)
     }
 }

@@ -51,18 +51,21 @@ pub(crate) trait VolumeShading: Sync {
     const SEED: u64;
 
     /// The volume rays are clipped against.
-    fn bounds(&self) -> Aabb;
+    fn bounds(&self, scene: &BakedScene) -> Aabb;
 
     /// Stratified samples per in-bounds ray.
-    fn samples_per_ray(&self) -> usize;
+    fn samples_per_ray(&self, scene: &BakedScene) -> u32;
 
-    /// Sizes a band's scratch before its first ray.
-    fn prepare(&self, _scratch: &mut ShadeScratch) {}
+    /// Length of the feature vector a band's scratch holds.
+    fn feature_dim(&self, _scene: &BakedScene) -> usize {
+        0
+    }
 
     /// Shades the sample at `p`, a segment `dt` long, into `acc`.
     /// Returns whether the sample passed the pipeline's gate.
     fn shade(
         &self,
+        scene: &BakedScene,
         p: Vec3,
         dt: f32,
         acc: &mut RayAccumulator,
@@ -75,6 +78,7 @@ pub(crate) trait VolumeShading: Sync {
     #[inline]
     fn finish(
         &self,
+        _scene: &BakedScene,
         _ray: &Ray,
         acc: RayAccumulator,
         _state: &Self::RayState,
@@ -97,15 +101,14 @@ pub(crate) fn march_and_shade<S: VolumeShading>(
     target: &mut Image,
     shading: &S,
 ) -> MarchStats {
-    let bg = scene.field().background();
-    target.resize(camera.width, camera.height, bg);
+    target.resize(camera.width, camera.height, scene.field().background());
     uni_parallel::par_bands_fold(
         target.pixels_mut(),
         BAND_ROWS as usize * camera.width as usize,
         MarchStats::default(),
         |band, chunk| {
             with_ray_scratch(|rs| {
-                march_rows(shading, camera, bg, band as u32 * BAND_ROWS, chunk, rs)
+                march_rows(shading, scene, camera, band as u32 * BAND_ROWS, chunk, rs)
             })
         },
         MarchStats::merge,
@@ -117,21 +120,23 @@ pub(crate) fn march_and_shade<S: VolumeShading>(
 // uni-lint: hot
 fn march_rows<S: VolumeShading>(
     shading: &S,
+    scene: &BakedScene,
     camera: &Camera,
-    bg: Rgb,
     y0: u32,
     chunk: &mut [Rgb],
     rs: &mut RayScratch,
 ) -> MarchStats {
-    let bounds = shading.bounds();
-    let samples_per_ray = shading.samples_per_ray();
+    let bg = scene.field().background();
+    let bounds = shading.bounds(scene);
+    let samples_per_ray = shading.samples_per_ray(scene) as usize;
     let sampler = StratifiedSampler::new(samples_per_ray);
     let mut rng = XorShift64::new(S::SEED);
     let rays = camera.ray_generator();
     let width = camera.width.max(1) as usize;
     let mut stats = MarchStats::default();
     let RayScratch { ts, shade } = rs;
-    shading.prepare(shade);
+    shade.feats.clear();
+    shade.feats.resize(shading.feature_dim(scene), 0.0);
     for (dy, row) in chunk.chunks_exact_mut(width).enumerate() {
         let y = y0 + dy as u32;
         for (x, pixel) in row.iter_mut().enumerate() {
@@ -150,82 +155,14 @@ fn march_rows<S: VolumeShading>(
                     break;
                 }
                 stats.samples_marched += 1;
-                if shading.shade(ray.at(t), dt, &mut acc, &mut state, shade) {
+                if shading.shade(scene, ray.at(t), dt, &mut acc, &mut state, shade) {
                     stats.samples_gated += 1;
                 }
             }
-            let (color, deferred) = shading.finish(&ray, acc, &state, bg, shade);
+            let (color, deferred) = shading.finish(scene, &ray, acc, &state, bg, shade);
             stats.pixels_deferred += u64::from(deferred);
             *pixel = color;
         }
     }
     stats
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil;
-
-    /// A shading whose gate passes every `k`-th sample of a ray and
-    /// composites it fully opaque.
-    struct EveryKth {
-        bounds: Aabb,
-        k: u64,
-    }
-
-    impl VolumeShading for EveryKth {
-        type RayState = u64;
-        const SEED: u64 = 7;
-
-        fn bounds(&self) -> Aabb {
-            self.bounds
-        }
-
-        fn samples_per_ray(&self) -> usize {
-            8
-        }
-
-        fn shade(
-            &self,
-            _p: Vec3,
-            _dt: f32,
-            acc: &mut RayAccumulator,
-            seen: &mut u64,
-            _scratch: &mut ShadeScratch,
-        ) -> bool {
-            *seen += 1;
-            let gated = seen.is_multiple_of(self.k);
-            if gated {
-                acc.add_alpha_sample(Rgb::WHITE, 1.0);
-            }
-            gated
-        }
-    }
-
-    #[test]
-    fn counts_follow_the_gate_and_the_saturation_stop() {
-        let scene = testutil::scene();
-        // 20 rows: one full band and a short one.
-        let camera = testutil::camera(scene, 24, 20);
-        let bg = scene.field().background();
-        for k in [1, 3, 9] {
-            let mut image = Image::empty();
-            let shading = EveryKth {
-                bounds: scene.bounds(),
-                k,
-            };
-            let stats = march_and_shade(scene, &camera, &mut image, &shading);
-            assert_eq!(stats.rays, 24 * 20);
-            assert!(stats.rays_in_bounds > 0 && stats.rays_in_bounds < stats.rays);
-            // One opaque sample saturates a ray, so each in-bounds ray
-            // reaches min(k, 8) samples and passes the gate iff k <= 8.
-            assert_eq!(stats.samples_marched, stats.rays_in_bounds * k.min(8));
-            let gated = if k <= 8 { stats.rays_in_bounds } else { 0 };
-            assert_eq!(stats.samples_gated, gated, "k = {k}");
-            assert_eq!(stats.pixels_deferred, 0);
-            let background = image.pixels().iter().filter(|&&p| p == bg).count() as u64;
-            assert_eq!(background, stats.rays - gated, "k = {k}");
-        }
-    }
 }

@@ -16,7 +16,7 @@ use crate::Renderer;
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Aabb, Camera, Image, StratifiedSampler, Vec3};
 use uni_microops::{Invocation, Pipeline, Trace, Workload};
-use uni_scene::{BakedScene, KiloNerfGrid};
+use uni_scene::BakedScene;
 
 /// Compute reduction factor of MetaVRain-style Pixel-Reuse (Sec. VII-B:
 /// "reducing the computation by ∼20×").
@@ -37,29 +37,24 @@ impl MlpPipeline {
     }
 }
 
-/// KiloNeRF's per-sample shading: only samples in occupied cells reach
-/// a tiny MLP.
-struct KiloNerfShading<'a> {
-    grid: &'a KiloNerfGrid,
-    samples_per_ray: usize,
-}
-
-impl VolumeShading for KiloNerfShading<'_> {
+/// Per sample, only occupied KiloNeRF cells reach a tiny MLP.
+impl VolumeShading for MlpPipeline {
     type RayState = ();
     const SEED: u64 = 0xC0FFEE;
 
-    fn bounds(&self) -> Aabb {
-        self.grid.bounds()
+    fn bounds(&self, scene: &BakedScene) -> Aabb {
+        scene.kilonerf().bounds()
     }
 
-    fn samples_per_ray(&self) -> usize {
-        self.samples_per_ray
+    fn samples_per_ray(&self, scene: &BakedScene) -> u32 {
+        scene.spec().scaled_repr().mlp_samples_per_ray
     }
 
     // uni-lint: hot
     #[inline]
     fn shade(
         &self,
+        scene: &BakedScene,
         p: Vec3,
         dt: f32,
         acc: &mut RayAccumulator,
@@ -67,7 +62,7 @@ impl VolumeShading for KiloNerfShading<'_> {
         scratch: &mut ShadeScratch,
     ) -> bool {
         // Occupancy skip: empty cells never reach an MLP.
-        let Some(s) = self.grid.query_scratch(p, &mut scratch.kilo) else {
+        let Some(s) = scene.kilonerf().query_scratch(p, &mut scratch.kilo) else {
             return false;
         };
         if s.density > 1e-3 {
@@ -78,19 +73,6 @@ impl VolumeShading for KiloNerfShading<'_> {
 }
 
 impl MlpPipeline {
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> MarchStats {
-        let shading = KiloNerfShading {
-            grid: scene.kilonerf(),
-            samples_per_ray: scene.spec().scaled_repr().mlp_samples_per_ray as usize,
-        };
-        march_and_shade(scene, camera, target, &shading)
-    }
-
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh MLP activations per query.
     /// Parity baseline and the "before" side of `benches/render_hot.rs`.
@@ -204,17 +186,17 @@ impl Renderer for MlpPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        march_and_shade(scene, camera, target, self);
     }
 
     fn render_traced(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
-        let stats = self.render_internal(scene, camera, target);
+        let stats = march_and_shade(scene, camera, target, self);
         self.trace_from(scene, camera, &stats, &Probe::exact(camera))
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
         let probe = Probe::plan(camera);
-        let stats = self.render_internal(scene, &probe.camera, &mut Image::empty());
+        let stats = march_and_shade(scene, &probe.camera, &mut Image::empty(), self);
         self.trace_from(scene, camera, &stats, &probe)
     }
 }
@@ -278,7 +260,7 @@ mod tests {
     fn occupancy_skip_reduces_mlp_evaluations() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 64, 48);
-        let stats = MlpPipeline::default().render_internal(scene, &camera, &mut Image::empty());
+        let stats = march_and_shade(scene, &camera, &mut Image::empty(), &MlpPipeline::default());
         assert!(stats.samples_marched > 0);
         assert!(
             stats.samples_gated < stats.samples_marched,

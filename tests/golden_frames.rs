@@ -12,7 +12,7 @@
 //! UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture
 //! ```
 //!
-//! and paste the printed `GOLDEN` table into this file.
+//! and paste the printed tables into this file.
 
 use uni_render::prelude::*;
 use uni_render::scene::{Mlp, PlaneAxis, Texture2d};
@@ -90,8 +90,8 @@ const GOLDEN_BAKE: u64 = 0x70d3664d0b0943fe;
 /// the `render_traced` trace. The frame goldens pin pixels; these pin
 /// the work counts every trace builder reads (rays, samples, gate
 /// passes, deferred pixels, raster and splat pairs), so a miscounted
-/// gate cannot hide behind an unchanged image. Re-bless together with
-/// `GOLDEN`.
+/// gate cannot hide behind an unchanged image. Blessed and checked
+/// together with `GOLDEN`.
 const GOLDEN_TRACE: [(&str, u64); 6] = [
     ("mesh", 0xee1403dca829cc21),
     ("mlp", 0x67ae54a1920d6b29),
@@ -101,7 +101,10 @@ const GOLDEN_TRACE: [(&str, u64); 6] = [
     ("mixrt", 0xbd282920574a6972),
 ];
 
-fn golden_frames() -> Vec<(String, u64)> {
+/// Each pipeline's frame hash (`render`) and served-trace hash (FNV-1a
+/// over the `Debug` text of the `render_traced` trace) at the golden
+/// camera, in `all_renderers()` order.
+fn golden_frames() -> Vec<(u64, u64)> {
     let spec = SceneSpec::demo("golden", GOLDEN_SEED).with_detail(GOLDEN_DETAIL);
     let scene = spec.bake();
     let camera = spec
@@ -112,30 +115,13 @@ fn golden_frames() -> Vec<(String, u64)> {
         .map(|renderer| {
             let image = renderer.render(&scene, &camera);
             assert_eq!((image.width(), image.height()), GOLDEN_RES);
-            (renderer.pipeline().to_string(), fnv1a(&image))
-        })
-        .collect()
-}
-
-/// FNV-1a over the `Debug` text of each pipeline's `render_traced`
-/// trace at the golden camera, in `all_renderers()` order.
-fn golden_traces() -> Vec<(String, u64)> {
-    let spec = SceneSpec::demo("golden", GOLDEN_SEED).with_detail(GOLDEN_DETAIL);
-    let scene = spec.bake();
-    let camera = spec
-        .orbit(GOLDEN_RES.0, GOLDEN_RES.1)
-        .camera_at(GOLDEN_ANGLE);
-    let mut image = Image::empty();
-    uni_render::renderers::all_renderers()
-        .iter()
-        .map(|renderer| {
-            let trace = renderer.render_traced(&scene, &camera, &mut image);
+            let trace = renderer.render_traced(&scene, &camera, &mut Image::empty());
             let mut h: u64 = 0xCBF2_9CE4_8422_2325;
             for byte in format!("{trace:?}").bytes() {
                 h ^= u64::from(byte);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
-            (renderer.pipeline().to_string(), h)
+            (fnv1a(&image), h)
         })
         .collect()
 }
@@ -457,38 +443,26 @@ fn priority_schedule_matches_its_golden_stream_hash() {
 fn every_pipeline_matches_its_golden_frame_hash() {
     let rendered = golden_frames();
     if std::env::var("UNI_RENDER_BLESS").is_ok_and(|v| v == "1") {
-        println!("const GOLDEN: [(&str, u64); 6] = [");
-        for ((name, _), (_, hash)) in GOLDEN.iter().zip(&rendered) {
-            println!("    (\"{name}\", {hash:#018x}),");
+        for (table, trace) in [("GOLDEN", false), ("GOLDEN_TRACE", true)] {
+            println!("const {table}: [(&str, u64); 6] = [");
+            for ((name, _), &(frame, traced)) in GOLDEN.iter().zip(&rendered) {
+                let hash = if trace { traced } else { frame };
+                println!("    (\"{name}\", {hash:#018x}),");
+            }
+            println!("];");
         }
-        println!("];");
         return;
     }
-    for ((name, expected), (pipeline, actual)) in GOLDEN.iter().zip(&rendered) {
+    for (((name, frame), (_, trace)), actual) in GOLDEN.iter().zip(&GOLDEN_TRACE).zip(&rendered) {
         assert_eq!(
-            actual, expected,
-            "{pipeline} ({name}) 64x64 frame hash changed — if intentional, \
+            actual.0, *frame,
+            "{name} 64x64 frame hash changed — if intentional, \
              re-bless with UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture"
         );
-    }
-}
-
-#[test]
-fn every_pipeline_matches_its_golden_trace_hash() {
-    let traced = golden_traces();
-    if std::env::var("UNI_RENDER_BLESS").is_ok_and(|v| v == "1") {
-        println!("const GOLDEN_TRACE: [(&str, u64); 6] = [");
-        for ((name, _), (_, hash)) in GOLDEN_TRACE.iter().zip(&traced) {
-            println!("    (\"{name}\", {hash:#018x}),");
-        }
-        println!("];");
-        return;
-    }
-    for ((name, expected), (pipeline, actual)) in GOLDEN_TRACE.iter().zip(&traced) {
         assert_eq!(
-            actual, expected,
-            "{pipeline} ({name}) served trace hash changed (work counts) — if \
-             intentional, re-bless with UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture"
+            actual.1, *trace,
+            "{name} served trace hash changed (work counts) — if intentional, \
+             re-bless with UNI_RENDER_BLESS=1 cargo test --test golden_frames -- --nocapture"
         );
     }
 }
